@@ -1,20 +1,17 @@
-"""Case taxonomy for minimal primary decompositions, and the example catalogue.
+"""The catalogue of worked decomposition examples.
 
-The ambient multiplicity e splits across the minimal primes p of the ideal
-as e = sum over components of sigma_p * l_p, where sigma_p is the
-multiplicity factor of the component and l_p its local length; each
-component contributes a quotient of multiplicity m1 * sigma_p.  A
-:class:`CaseRecord` is one multiset of (sigma, length) pairs with that sum.
-
-The worked examples live in a versioned line-oriented data file shipped
-with the package (``data/decomposition_catalogue.txt``).  Each entry fixes
-a polynomial f (as a list of weight-checkable factors over the variables
+The examples live in a versioned line-oriented data file shipped with the
+package (``data/decomposition_catalogue.txt``).  Each entry fixes a
+polynomial f (as a list of weight-checkable factors over the variables
 X, Y, Z, W), the tuple of integers whose gcd must be 1, the predicted
 decomposition shape, and any field-theoretic caveat.  Verification checks
 exactly the numeric side: every constrained factor and all three ideal
 generators must be homogeneous under the factor's weight assignment, and
 the gcd tuple must be coprime.  Field hypotheses are surfaced as free
 text, never evaluated.
+
+The case taxonomy the predictions are drawn from lives in
+:mod:`hnlab.cases`; its names are re-exported here.
 """
 
 from __future__ import annotations
@@ -24,124 +21,24 @@ from functools import lru_cache
 from importlib import resources
 from math import gcd
 
+from .cases import (  # noqa: F401 - the catalogue re-exports the taxonomy
+    CaseRecord,
+    ConsistencyReport,
+    check_consistency,
+    enumerate_cases,
+)
 from .errors import (
     DimensionMismatch,
     DomainError,
-    InconsistentRecord,
     InvalidGenerator,
     InvariantViolation,
     NotInCatalogue,
 )
-from .hn import Binomial, Triple, _monomial, build, solve_exponents
+from .hn import Binomial, Triple, _monomial, _weighted_degree, build, solve_exponents
 
 _DATA_FILE = "decomposition_catalogue.txt"
 _VARIABLES = ("X", "Y", "Z", "W")
 _GENERATOR_NAMES = ("v1", "v2", "D")
-
-
-@dataclass(frozen=True)
-class CaseRecord:
-    """A decomposition shape: multiset of (sigma, length) pairs for one e."""
-
-    e: int
-    components: tuple[tuple[int, int], ...]
-    label: str
-
-    def __post_init__(self) -> None:
-        canon = tuple(sorted((tuple(c) for c in self.components), reverse=True))
-        object.__setattr__(self, "components", canon)
-
-    @property
-    def n_components(self) -> int:
-        return len(self.components)
-
-
-@dataclass(frozen=True)
-class ConsistencyReport:
-    """Outcome of the multiplicity bookkeeping for one case record."""
-
-    e: int
-    m1: int
-    component_multiplicities: tuple[int, ...]
-    total: int
-    ok: bool
-
-
-_PAPER_CASES: dict[int, tuple[tuple[str, tuple[tuple[int, int], ...]], ...]] = {
-    1: (("(a)", ((1, 1),)),),
-    2: (
-        ("(b.1)", ((2, 1),)),
-        ("(b.2)", ((1, 2),)),
-        ("(b.3)", ((1, 1), (1, 1))),
-    ),
-    3: (
-        ("(c.1)", ((3, 1),)),
-        ("(c.2)", ((1, 3),)),
-        ("(c.3)", ((1, 2), (1, 1))),
-        ("(c.4)", ((2, 1), (1, 1))),
-        ("(c.5)", ((1, 1), (1, 1), (1, 1))),
-    ),
-}
-
-
-def _component_multisets(e: int) -> list[tuple[tuple[int, int], ...]]:
-    """All multisets of (sigma, length) pairs with sum sigma*length = e,
-    each returned as a non-increasing tuple of pairs."""
-    pairs = sorted(
-        ((s, l) for s in range(1, e + 1) for l in range(1, e + 1) if s * l <= e),
-        reverse=True,
-    )
-    out: list[tuple[tuple[int, int], ...]] = []
-
-    def extend(remaining: int, start: int, acc: list[tuple[int, int]]) -> None:
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        for i in range(start, len(pairs)):
-            s, l = pairs[i]
-            if s * l <= remaining:
-                acc.append((s, l))
-                extend(remaining - s * l, i, acc)
-                acc.pop()
-
-    extend(e, 0, [])
-    return out
-
-
-def enumerate_cases(e: int) -> list[CaseRecord]:
-    """All decomposition shapes for ambient multiplicity e, labeled.
-
-    For e <= 3 the labels and order are the classical (a), (b.1)-(b.3),
-    (c.1)-(c.5).  For e in [4, 6] the enumeration is mechanical and the
-    labels are systematic, "(e=4, #1)" and so on.
-    """
-    if not 1 <= e <= 6:
-        raise DomainError(f"case enumeration covers e in [1, 6], got {e}")
-    generated = set(_component_multisets(e))
-    if e in _PAPER_CASES:
-        table = _PAPER_CASES[e]
-        if generated != {comps for _, comps in table}:
-            raise InvariantViolation(f"case generator disagrees with the e={e} table")
-        return [CaseRecord(e, comps, label) for label, comps in table]
-    ordered = sorted(generated, key=lambda ms: (len(ms), ms))
-    return [
-        CaseRecord(e, comps, f"(e={e}, #{i})") for i, comps in enumerate(ordered, 1)
-    ]
-
-
-def check_consistency(r: CaseRecord, m1: int) -> ConsistencyReport:
-    """Enforce sum(sigma*length) = e, then verify that the per-component
-    multiplicities m1*sigma add up, weighted by length, to m1*e."""
-    if m1 < 3:
-        raise DomainError(f"multiplier m1 must be at least 3, got {m1}")
-    total_sl = sum(s * l for s, l in r.components)
-    if total_sl != r.e:
-        raise InconsistentRecord(
-            f"components of {r.label} sum to {total_sl}, expected e={r.e}"
-        )
-    comp_mults = tuple(m1 * s for s, _ in r.components)
-    total = sum(cm * l for cm, (_, l) in zip(comp_mults, r.components))
-    return ConsistencyReport(r.e, m1, comp_mults, total, total == m1 * r.e)
 
 
 @dataclass(frozen=True)
@@ -163,9 +60,7 @@ def binomial_weight_vanishes(w: WeightAssignment, b: Binomial) -> bool:
         raise DimensionMismatch(
             f"{len(w.weights)} weights against {len(b.plus)} exponents"
         )
-    return sum(x * e for x, e in zip(w.weights, b.plus)) == sum(
-        x * e for x, e in zip(w.weights, b.minus)
-    )
+    return _weighted_degree(w.weights, b.plus) == _weighted_degree(w.weights, b.minus)
 
 
 @dataclass(frozen=True)
@@ -307,9 +202,7 @@ def verify_example(spec: ExampleSpec) -> ExampleReport:
             checks.append(WeightCheck(name, None, None, "skipped: no weight constraint"))
             continue
         w = factor.weights
-        degrees = [
-            sum(x * e for x, e in zip(w.weights, mono)) for mono in factor.monomials
-        ]
+        degrees = [_weighted_degree(w.weights, mono) for mono in factor.monomials]
         checks.append(
             WeightCheck(
                 name,

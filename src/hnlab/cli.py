@@ -18,11 +18,11 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-from . import catalogue as cat
 from . import hn
+from .cases import enumerate_cases
+from .catalogue import example_spec, verify_example
 from .errors import DomainError, InvalidGenerator, InvariantViolation
 from .oversemigroups import (
     CoverQuery,
@@ -40,22 +40,17 @@ EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_MISMATCH = 3
 
+Result = dict[str, Any]
 
-@dataclass
-class Report:
-    command: str
-    inputs: dict[str, Any]
-    result: dict[str, Any] | None = None
-    status: str = "ok"
-    error: dict[str, str] | None = None
-    text_lines: list[str] = field(default_factory=list)
-    exit_code: int = EXIT_OK
 
-    def fail(self, code: str, message: str, exit_code: int) -> "Report":
-        self.status = "error"
-        self.error = {"code": code, "message": message}
-        self.exit_code = exit_code
-        return self
+class VerificationMismatch(InvariantViolation):
+    """A census or catalogue re-check disagreed with its expected outcome.
+
+    Carries the partial ``result`` so that the report still shows it."""
+
+    def __init__(self, message: str, result: Result) -> None:
+        super().__init__(message)
+        self.result = result
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,18 +58,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _fmt_bool(value: bool) -> str:
-    return "true" if value else "false"
-
-
-def _fmt_ints(values: Sequence[int]) -> str:
-    return " ".join(str(v) for v in values)
-
-
-def _fmt_components(components: Sequence[Sequence[int]]) -> str:
-    return "+".join(f"{s}x{l}" for s, l in components)
 
 
 def _frobenius_cap() -> int:
@@ -108,7 +91,7 @@ def _triple(text: str) -> tuple[int, int, int]:
         raise argparse.ArgumentTypeError(f"non-integer entry in {text!r}") from None
 
 
-def _semigroup_payload(s: NumericalSemigroup) -> dict[str, Any]:
+def _semigroup_payload(s: NumericalSemigroup) -> Result:
     prof = profile(s)
     tr = traits(s)
     return {
@@ -128,83 +111,41 @@ def _semigroup_payload(s: NumericalSemigroup) -> dict[str, Any]:
     }
 
 
-def _semigroup_lines(payload: dict[str, Any]) -> list[str]:
-    return [
-        f"minimal_gens: {_fmt_ints(payload['minimal_gens'])}",
-        f"apery: {_fmt_ints(payload['apery'])}",
-        f"multiplicity: {payload['multiplicity']}",
-        f"embedding_dimension: {payload['embedding_dimension']}",
-        f"frobenius: {payload['frobenius']}",
-        f"gaps: {_fmt_ints(payload['gaps'])}",
-        f"genus: {payload['genus']}",
-        f"n_below: {payload['n_below']}",
-        f"symmetric: {_fmt_bool(payload['symmetric'])}",
-        f"irreducible: {_fmt_bool(payload['irreducible'])}",
-        f"pseudo_frobenius: {_fmt_ints(payload['pseudo_frobenius'])}",
-        f"type: {payload['type']}",
-        f"almost_symmetric: {_fmt_bool(payload['almost_symmetric'])}",
-    ]
+# ── command handlers: each returns the report's ``result`` payload ────────
 
 
-# ── command handlers ───────────────────────────────────────────────────────
+def _cmd_sgp_analyze(args: argparse.Namespace) -> Result:
+    return _semigroup_payload(_semigroup_from_cli(args.gens))
 
 
-def _cmd_sgp_analyze(args: argparse.Namespace) -> Report:
-    report = Report("sgp analyze", {"gens": list(args.gens)})
-    s = _semigroup_from_cli(args.gens)
-    payload = _semigroup_payload(s)
-    report.result = payload
-    report.text_lines = _semigroup_lines(payload)
-    return report
-
-
-def _cmd_sgp_sym_cover(args: argparse.Namespace) -> Report:
-    report = Report("sgp sym-cover", {"gens": list(args.gens), "mult": args.mult})
+def _cmd_sgp_sym_cover(args: argparse.Namespace) -> Result:
     s = _semigroup_from_cli(args.gens)
     verdict = symmetric_cover(CoverQuery(s, args.mult))
-    witness = list(verdict.witness.minimal_gens) if verdict.witness else None
-    report.result = {
+    return {
         "covered": verdict.covered,
-        "witness": witness,
+        "witness": list(verdict.witness.minimal_gens) if verdict.witness else None,
         "search_count": verdict.search_count,
     }
-    report.text_lines = [
-        f"covered: {_fmt_bool(verdict.covered)}",
-        f"witness: {_fmt_ints(witness) if witness else '-'}",
-        f"search_count: {verdict.search_count}",
-    ]
-    return report
 
 
-def _cmd_delta_verify(args: argparse.Namespace) -> Report:
-    report = Report("delta verify", {"bound": args.bound, "jobs": args.jobs})
+def _cmd_delta_verify(args: argparse.Namespace) -> Result:
     delta = verify_delta(args.bound, jobs=args.jobs)
-    report.result = {
+    result = {
         "flagged": [list(t) for t in delta.flagged],
         "expected": [list(t) for t in delta.expected],
         "match": delta.matches,
         "triples_examined": len(candidate_triples(args.bound)),
     }
-    report.text_lines = [
-        f"triples_examined: {report.result['triples_examined']}",
-        f"flagged: {'; '.join(','.join(map(str, t)) for t in delta.flagged) or '-'}",
-        f"expected: {'; '.join(','.join(map(str, t)) for t in delta.expected) or '-'}",
-        f"match: {_fmt_bool(delta.matches)}",
-    ]
     if not delta.matches:
-        report.fail("VerificationMismatch", "flagged triples differ from the known four", EXIT_MISMATCH)
-    return report
+        raise VerificationMismatch("flagged triples differ from the known four", result)
+    return result
 
 
-def _cmd_hn_build(args: argparse.Namespace) -> Report:
-    inputs: dict[str, Any] = {"a": list(args.a), "b": list(args.b)}
-    if args.e is not None:
-        inputs["e"] = args.e
-    report = Report("hn build", inputs)
+def _cmd_hn_build(args: argparse.Namespace) -> Result:
     cap = _frobenius_cap()
     ideal = hn.build(hn.ExponentPair(args.a, args.b), max_frobenius=cap)
     pair = ideal.exponents
-    result: dict[str, Any] = {
+    result: Result = {
         "a": list(pair.a),
         "b": list(pair.b),
         "c": list(pair.c),
@@ -215,24 +156,8 @@ def _cmd_hn_build(args: argparse.Namespace) -> Report:
             for g in ideal.generators
         ],
         "value_semigroup": _semigroup_payload(ideal.value_semigroup) if ideal.coprime else None,
+        "verdict": None,
     }
-    lines = [
-        f"a: {_fmt_ints(pair.a)}",
-        f"b: {_fmt_ints(pair.b)}",
-        f"c: {_fmt_ints(pair.c)}",
-        f"m: {_fmt_ints(ideal.m)}",
-        f"coprime: {_fmt_bool(ideal.coprime)}",
-    ]
-    lines.extend(f"generator {name}: {g.render(('x', 'y', 'z'))}"
-                 for name, g in zip(("v1", "v2", "D"), ideal.generators))
-    if ideal.coprime:
-        sg = result["value_semigroup"]
-        lines.append(f"value_semigroup: {_fmt_ints(sg['minimal_gens'])}")
-        lines.append(f"value_semigroup frobenius: {sg['frobenius']}")
-        lines.append(f"value_semigroup symmetric: {_fmt_bool(sg['symmetric'])}")
-        lines.append(f"value_semigroup embedding_dimension: {sg['embedding_dimension']}")
-    else:
-        lines.append("value_semigroup: - (gcd of m is not 1)")
     if args.e is not None:
         verdict = hn.theorem_verdict(ideal, args.e)
         result["verdict"] = {
@@ -241,40 +166,20 @@ def _cmd_hn_build(args: argparse.Namespace) -> Report:
             "outcome": verdict.outcome.value,
             "possible_cases": list(verdict.possible_cases),
         }
-        lines.append(f"hypothesis_ok: {_fmt_bool(verdict.hypothesis_ok)}")
-        lines.append(f"outcome: {verdict.outcome.value}")
-        lines.append(f"possible_cases: {' '.join(verdict.possible_cases)}")
-    else:
-        result["verdict"] = None
-    report.result = result
-    report.text_lines = lines
-    return report
+    return result
 
 
-def _cmd_hn_solve(args: argparse.Namespace) -> Report:
-    report = Report("hn solve", {"m": list(args.m)})
-    solutions = hn.solve_exponents(args.m)
-    report.result = {
+def _cmd_hn_solve(args: argparse.Namespace) -> Result:
+    return {
         "m": list(args.m),
-        "solutions": [{"a": list(p.a), "b": list(p.b)} for p in solutions],
+        "solutions": [{"a": list(p.a), "b": list(p.b)} for p in hn.solve_exponents(args.m)],
     }
-    if solutions:
-        report.text_lines = [
-            f"solution {i}: a={_fmt_ints(p.a)} b={_fmt_ints(p.b)}"
-            for i, p in enumerate(solutions, 1)
-        ]
-    else:
-        report.text_lines = ["solutions: none"]
-    return report
 
 
-def _cmd_catalogue_check(args: argparse.Namespace) -> Report:
-    report = Report(
-        "catalogue check", {"id": args.id, "n": args.n, "m": list(args.m)}
-    )
-    spec = cat.example_spec(args.id, args.n, args.m)
-    example = cat.verify_example(spec)
-    report.result = {
+def _cmd_catalogue_check(args: argparse.Namespace) -> Result:
+    spec = example_spec(args.id, args.n, args.m)
+    example = verify_example(spec)
+    result = {
         "id": spec.id,
         "n": spec.n,
         "m": list(spec.m),
@@ -305,28 +210,13 @@ def _cmd_catalogue_check(args: argparse.Namespace) -> Report:
         "caveat": spec.caveat,
         "verdict": example.verdict,
     }
-    lines = []
-    for c in example.weight_checks:
-        state = "skipped" if c.passed is None else ("pass" if c.passed else "FAIL")
-        lines.append(f"check {c.subject}: {state}")
-    lines.append(
-        f"gcd tuple: {_fmt_ints(spec.gcd_tuple)} -> {'pass' if example.gcd_ok else 'FAIL'}"
-    )
-    lines.append(
-        f"predicted: {spec.predicted.label} components {_fmt_components(spec.predicted.components)}"
-    )
-    lines.append(f"caveat: {spec.caveat or '-'}")
-    lines.append(f"verdict: {'pass' if example.verdict else 'FAIL'}")
-    report.text_lines = lines
     if not example.verdict:
-        report.fail("VerificationMismatch", "catalogued example failed its checks", EXIT_MISMATCH)
-    return report
+        raise VerificationMismatch("catalogued example failed its checks", result)
+    return result
 
 
-def _cmd_cases(args: argparse.Namespace) -> Report:
-    report = Report("cases", {"e": args.e})
-    records = cat.enumerate_cases(args.e)
-    report.result = {
+def _cmd_cases(args: argparse.Namespace) -> Result:
+    return {
         "e": args.e,
         "cases": [
             {
@@ -334,13 +224,95 @@ def _cmd_cases(args: argparse.Namespace) -> Report:
                 "components": [list(comp) for comp in r.components],
                 "n_components": r.n_components,
             }
-            for r in records
+            for r in enumerate_cases(args.e)
         ],
     }
-    report.text_lines = [
-        f"case {r.label}: components {_fmt_components(r.components)}" for r in records
-    ] + [f"count: {len(records)}"]
-    return report
+
+
+# ── text renderers: each reads only the ``result`` payload ─────────────────
+
+
+def _fmt(value: Any) -> str:
+    """One payload value as text: lists space-joined, bools as true/false,
+    None as '-'."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, list):
+        return " ".join(map(str, value))
+    return "-" if value is None else str(value)
+
+
+def _pass_fail(ok: bool) -> str:
+    return "pass" if ok else "FAIL"
+
+
+def _fmt_components(components: list[list[int]]) -> str:
+    return "+".join(f"{s}x{l}" for s, l in components)
+
+
+def _render_fields(r: Result) -> list[str]:
+    return [f"{key}: {_fmt(value)}" for key, value in r.items()]
+
+
+def _render_delta(r: Result) -> list[str]:
+    def triples(ts: list[list[int]]) -> str:
+        return "; ".join(",".join(map(str, t)) for t in ts) or "-"
+
+    return [
+        f"triples_examined: {r['triples_examined']}",
+        f"flagged: {triples(r['flagged'])}",
+        f"expected: {triples(r['expected'])}",
+        f"match: {_fmt(r['match'])}",
+    ]
+
+
+def _render_hn_build(r: Result) -> list[str]:
+    lines = [f"{key}: {_fmt(r[key])}" for key in ("a", "b", "c", "m", "coprime")]
+    lines += [
+        f"generator {name}: {g['text']}" for name, g in zip(("v1", "v2", "D"), r["generators"])
+    ]
+    sg = r["value_semigroup"]
+    if sg is None:
+        lines.append("value_semigroup: - (gcd of m is not 1)")
+    else:
+        lines.append(f"value_semigroup: {_fmt(sg['minimal_gens'])}")
+        lines += [
+            f"value_semigroup {key}: {_fmt(sg[key])}"
+            for key in ("frobenius", "symmetric", "embedding_dimension")
+        ]
+    if r["verdict"] is not None:
+        lines += [
+            f"{key}: {_fmt(r['verdict'][key])}"
+            for key in ("hypothesis_ok", "outcome", "possible_cases")
+        ]
+    return lines
+
+
+def _render_hn_solve(r: Result) -> list[str]:
+    return [
+        f"solution {i}: a={_fmt(p['a'])} b={_fmt(p['b'])}"
+        for i, p in enumerate(r["solutions"], 1)
+    ] or ["solutions: none"]
+
+
+def _render_catalogue_check(r: Result) -> list[str]:
+    lines = [
+        f"check {c['subject']}: {'skipped' if c['passed'] is None else _pass_fail(c['passed'])}"
+        for c in r["weight_checks"]
+    ]
+    predicted = r["predicted"]
+    return lines + [
+        f"gcd tuple: {_fmt(r['gcd_tuple'])} -> {_pass_fail(r['gcd_ok'])}",
+        f"predicted: {predicted['label']} components {_fmt_components(predicted['components'])}",
+        f"caveat: {r['caveat'] or '-'}",
+        f"verdict: {_pass_fail(r['verdict'])}",
+    ]
+
+
+def _render_cases(r: Result) -> list[str]:
+    return [
+        f"case {c['label']}: components {_fmt_components(c['components'])}" for c in r["cases"]
+    ] + [f"count: {len(r['cases'])}"]
 
 
 # ── parser wiring and entry point ──────────────────────────────────────────
@@ -369,12 +341,12 @@ def build_parser() -> argparse.ArgumentParser:
     sgp_sub = sgp.add_subparsers(dest="subcommand", required=True)
     p = sgp_sub.add_parser("analyze", parents=[common], help="full invariant report")
     p.add_argument("gens", nargs="+", type=_positive_int, metavar="GEN")
-    p.set_defaults(handler=_cmd_sgp_analyze)
+    p.set_defaults(handler=_cmd_sgp_analyze, render=_render_fields)
     p = sgp_sub.add_parser("sym-cover", parents=[common], help="symmetric cover search")
     p.add_argument("gens", nargs="+", type=_positive_int, metavar="GEN")
     p.add_argument("--mult", type=_positive_int, required=True,
                    help="required multiplicity of the cover (must equal the base's)")
-    p.set_defaults(handler=_cmd_sgp_sym_cover)
+    p.set_defaults(handler=_cmd_sgp_sym_cover, render=_render_fields)
 
     delta = sub.add_parser("delta", help="uncovered-triple census")
     delta_sub = delta.add_subparsers(dest="subcommand", required=True)
@@ -382,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=_positive_int, required=True)
     p.add_argument("--jobs", type=_positive_int, default=1,
                    help="process-parallel triple evaluation (default 1)")
-    p.set_defaults(handler=_cmd_delta_verify)
+    p.set_defaults(handler=_cmd_delta_verify, render=_render_delta)
 
     hn_p = sub.add_parser("hn", help="Herzog-Northcott ideal data")
     hn_sub = hn_p.add_subparsers(dest="subcommand", required=True)
@@ -391,10 +363,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=_triple, required=True, metavar="B1,B2,B3")
     p.add_argument("--e", type=int, default=None,
                    help="ambient multiplicity for the classification verdict")
-    p.set_defaults(handler=_cmd_hn_build)
+    p.set_defaults(handler=_cmd_hn_build, render=_render_hn_build)
     p = hn_sub.add_parser("solve", parents=[common], help="invert a multiplier triple to exponents")
     p.add_argument("--m", type=_triple, required=True, metavar="M1,M2,M3")
-    p.set_defaults(handler=_cmd_hn_solve)
+    p.set_defaults(handler=_cmd_hn_solve, render=_render_hn_solve)
 
     cat_p = sub.add_parser("catalogue", help="worked decomposition examples")
     cat_sub = cat_p.add_subparsers(dest="subcommand", required=True)
@@ -402,39 +374,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", required=True)
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--m", type=_triple, required=True, metavar="M1,M2,M3")
-    p.set_defaults(handler=_cmd_catalogue_check)
+    p.set_defaults(handler=_cmd_catalogue_check, render=_render_catalogue_check)
 
     p = sub.add_parser("cases", parents=[common], help="decomposition shapes for a multiplicity")
     p.add_argument("--e", type=_positive_int, required=True)
-    p.set_defaults(handler=_cmd_cases)
+    p.set_defaults(handler=_cmd_cases, render=_render_cases)
     return parser
 
 
-def _emit(report: Report, fmt: str) -> None:
-    if fmt == "json":
-        payload: dict[str, Any] = {
-            "schema": _SCHEMA,
-            "command": report.command,
-            "inputs": report.inputs,
-            "status": report.status,
-        }
-        if report.error is not None:
-            payload["error"] = report.error
-        if report.result is not None:
-            payload["result"] = report.result
-        print(json.dumps(payload, sort_keys=True))
-        return
-    lines = [f"command: {report.command}"]
-    lines.extend(
-        f"input {k}: {_fmt_ints(v) if isinstance(v, list) else v}"
-        for k, v in report.inputs.items()
-    )
-    lines.extend(report.text_lines)
-    if report.error is not None:
-        lines.append(f"error: {report.error['code']}")
-        lines.append(f"error_message: {report.error['message']}")
-    lines.append(f"status: {report.status}")
-    print("\n".join(lines))
+#: Namespace entries that select or shape the report rather than feed it.
+_NOT_INPUTS = frozenset({"group", "subcommand", "format", "handler", "render"})
+
+
+def _text(report: dict[str, Any], render: Callable[[Result], list[str]]) -> str:
+    lines = [f"command: {report['command']}"]
+    lines += [f"input {key}: {_fmt(value)}" for key, value in report["inputs"].items()]
+    if "result" in report:
+        lines += render(report["result"])
+    if "error" in report:
+        lines += [f"error: {report['error']['code']}", f"error_message: {report['error']['message']}"]
+    lines.append(f"status: {report['status']}")
+    return "\n".join(lines)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -443,34 +403,33 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # usage errors and --help
         return int(exc.code or 0)
-    handler: Callable[[argparse.Namespace], Report] = args.handler
+    params = vars(args)
+    report: dict[str, Any] = {
+        "schema": _SCHEMA,
+        "command": " ".join(params[key] for key in ("group", "subcommand") if key in params),
+        "inputs": {
+            key: list(value) if isinstance(value, tuple) else value
+            for key, value in params.items()
+            if key not in _NOT_INPUTS and value is not None
+        },
+    }
     started = time.perf_counter()
+    result, error, exit_code = None, None, EXIT_OK
     try:
-        report = handler(args)
+        result = args.handler(args)
     except DomainError as exc:
-        report = Report(_command_name(args), _echo_inputs(args))
-        report.fail(type(exc).__name__, str(exc), EXIT_DOMAIN)
+        error, exit_code = exc, EXIT_DOMAIN
     except InvariantViolation as exc:
-        report = Report(_command_name(args), _echo_inputs(args))
-        report.fail(type(exc).__name__, str(exc), EXIT_MISMATCH)
-    _emit(report, args.format)
+        error, exit_code = exc, EXIT_MISMATCH
+        result = getattr(exc, "result", None)
+    report["status"] = "ok" if error is None else "error"
+    if error is not None:
+        report["error"] = {"code": type(error).__name__, "message": str(error)}
+    if result is not None:
+        report["result"] = result
+    print(json.dumps(report, sort_keys=True) if args.format == "json" else _text(report, args.render))
     print(f"runtime: {time.perf_counter() - started:.3f}s", file=sys.stderr)
-    return report.exit_code
-
-
-def _command_name(args: argparse.Namespace) -> str:
-    sub = getattr(args, "subcommand", None)
-    return f"{args.group} {sub}" if sub else args.group
-
-
-def _echo_inputs(args: argparse.Namespace) -> dict[str, Any]:
-    skip = {"group", "subcommand", "handler", "format"}
-    out = {}
-    for key, value in sorted(vars(args).items()):
-        if key in skip or value is None:
-            continue
-        out[key] = list(value) if isinstance(value, tuple) else value
-    return out
+    return exit_code
 
 
 if __name__ == "__main__":

@@ -26,6 +26,7 @@ import enum
 from dataclasses import dataclass
 from math import gcd
 
+from .cases import enumerate_cases
 from .errors import (
     BadMultiplicity,
     DomainError,
@@ -179,11 +180,16 @@ def normalize(e: ExponentPair) -> ExponentPair:
             return ExponentPair(a, b)
 
 
+def _weighted_degree(weights: tuple[int, ...], exponents: tuple[int, ...]) -> int:
+    """Degree of the monomial with these exponents when variable i weighs
+    weights[i]."""
+    return sum(w * e for w, e in zip(weights, exponents))
+
+
 def vanishing_check(h: HNIdeal) -> bool:
     """True iff every generator is homogeneous under the weight vector m."""
     return all(
-        sum(w * p for w, p in zip(h.m, g.plus)) == sum(w * q for w, q in zip(h.m, g.minus))
-        for g in h.generators
+        _weighted_degree(h.m, g.plus) == _weighted_degree(h.m, g.minus) for g in h.generators
     )
 
 
@@ -232,8 +238,6 @@ def theorem_verdict(h: HNIdeal, e: int) -> TheoremVerdict:
     """
     if not 1 <= e <= 3:
         raise BadMultiplicity(f"ambient multiplicity must be in [1, 3], got {e}")
-    from .catalogue import enumerate_cases
-
     cases = tuple(rec.label for rec in enumerate_cases(e))
     s = h.value_semigroup
     hypothesis_ok = (

@@ -30,27 +30,6 @@ _INF = float("inf")
 
 
 @dataclass(frozen=True)
-class GeneratorSet:
-    """A validated, canonicalized generating set: sorted, deduplicated, gcd 1."""
-
-    gens: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        raw = tuple(self.gens)
-        if not raw:
-            raise EmptyInput("at least one generator is required")
-        for g in raw:
-            if not isinstance(g, int) or isinstance(g, bool) or g < 1:
-                raise InvalidGenerator(f"generator {g!r} is not a positive integer")
-        canon = tuple(sorted(set(raw)))
-        if gcd(*canon) != 1:
-            raise NonCofinite(
-                f"gcd of generators is {gcd(*canon)}; a numerical semigroup needs gcd 1"
-            )
-        object.__setattr__(self, "gens", canon)
-
-
-@dataclass(frozen=True)
 class NumericalSemigroup:
     """A numerical semigroup, held as its unique minimal generating system.
 
@@ -158,16 +137,26 @@ def _apery_by_relaxation(
 
 
 def from_generators(
-    gens: GeneratorSet | Iterable[int], max_frobenius: int | None = None
+    gens: Iterable[int], max_frobenius: int | None = None
 ) -> NumericalSemigroup:
     """Build the semigroup generated by ``gens``, reduced to its minimal system.
 
     The minimal system of a numerical semigroup is unique, so this is
     idempotent: feeding back ``minimal_gens`` reproduces the same object.
-    Raises NonCofinite when gcd != 1 and EmptyInput on an empty list.
+    Raises EmptyInput on an empty list, InvalidGenerator on an entry that is
+    not a positive integer, and NonCofinite when gcd != 1.
     """
-    gset = gens if isinstance(gens, GeneratorSet) else GeneratorSet(tuple(gens))
-    canon = gset.gens
+    raw = tuple(gens)
+    if not raw:
+        raise EmptyInput("at least one generator is required")
+    for g in raw:
+        if not isinstance(g, int) or isinstance(g, bool) or g < 1:
+            raise InvalidGenerator(f"generator {g!r} is not a positive integer")
+    canon = tuple(sorted(set(raw)))
+    if gcd(*canon) != 1:
+        raise NonCofinite(
+            f"gcd of generators is {gcd(*canon)}; a numerical semigroup needs gcd 1"
+        )
     m = canon[0]
     apery = _apery_by_relaxation(canon, m, max_frobenius)
 
@@ -181,11 +170,6 @@ def from_generators(
         if not redundant:
             minimal.append(g)
     return NumericalSemigroup(tuple(minimal), apery)
-
-
-def contains(s: NumericalSemigroup, n: int) -> bool:
-    """True iff n is a nonnegative integer combination of the generators."""
-    return s.contains(n)
 
 
 def apery_set(s: NumericalSemigroup, n: int) -> tuple[int, ...]:

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from hnlab import cli
 from hnlab.cli import main
 
 
@@ -237,11 +239,30 @@ def test_text_and_json_values_agree_on_delta(capsys):
         assert ",".join(map(str, triple)) in out
 
 
-def test_mismatch_exit_code_mapping():
-    # the exit-3 path: a delta report that fails to match is a verification
-    # mismatch; driven through the handler by faking the expected set
-    from hnlab.cli import EXIT_MISMATCH, Report
+def test_mismatch_exit_code_mapping(capsys, monkeypatch):
+    # Exit 3 through main: a census whose flagged set is wrong, and a
+    # catalogue example whose checks fail.  Both keep the partial result.
+    real_delta, real_example = cli.verify_delta, cli.verify_example
+    monkeypatch.setattr(
+        cli, "verify_delta", lambda bound, jobs=1: replace(real_delta(bound, jobs), flagged=())
+    )
+    monkeypatch.setattr(
+        cli, "verify_example", lambda spec: replace(real_example(spec), verdict=False)
+    )
+    for argv, result_line in (
+        (["delta", "verify", "--bound", "9"], "match: false"),
+        (["catalogue", "check", "--id", "caseb2c2", "--n", "3", "--m", "3,4,5"], "verdict: FAIL"),
+    ):
+        code, payload = run_json(capsys, *argv)
+        assert code == 3
+        assert payload["status"] == "error"
+        assert payload["error"]["code"] == "VerificationMismatch"
+        assert payload["result"]["match" if argv[0] == "delta" else "verdict"] is False
 
-    report = Report("delta verify", {"bound": 9})
-    report.fail("VerificationMismatch", "synthetic", EXIT_MISMATCH)
-    assert report.exit_code == 3 and report.status == "error"
+        code, out = run(capsys, *argv)
+        lines = out.splitlines()
+        assert code == 3
+        assert lines[-3] == "error: VerificationMismatch"
+        assert lines[-2].startswith("error_message: ")
+        assert lines[-1] == "status: error"
+        assert lines.index(result_line) < len(lines) - 3
