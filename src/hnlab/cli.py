@@ -392,7 +392,8 @@ def _text(report: dict[str, Any], render: Callable[[Result], list[str]]) -> str:
     if "result" in report:
         lines += render(report["result"])
     if "error" in report:
-        lines += [f"error: {report['error']['code']}", f"error_message: {report['error']['message']}"]
+        error = report["error"]
+        lines += [f"error: {error['code']}", f"error_message: {error['message']}"]
     lines.append(f"status: {report['status']}")
     return "\n".join(lines)
 
@@ -427,7 +428,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         report["error"] = {"code": type(error).__name__, "message": str(error)}
     if result is not None:
         report["result"] = result
-    print(json.dumps(report, sort_keys=True) if args.format == "json" else _text(report, args.render))
+    if args.format == "json":
+        print(json.dumps(report, sort_keys=True))
+    else:
+        print(_text(report, args.render))
     print(f"runtime: {time.perf_counter() - started:.3f}s", file=sys.stderr)
     return exit_code
 

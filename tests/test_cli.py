@@ -249,15 +249,16 @@ def test_mismatch_exit_code_mapping(capsys, monkeypatch):
     monkeypatch.setattr(
         cli, "verify_example", lambda spec: replace(real_example(spec), verdict=False)
     )
-    for argv, result_line in (
-        (["delta", "verify", "--bound", "9"], "match: false"),
-        (["catalogue", "check", "--id", "caseb2c2", "--n", "3", "--m", "3,4,5"], "verdict: FAIL"),
+    for argv, key, result_line in (
+        (["delta", "verify", "--bound", "9"], "match", "match: false"),
+        (["catalogue", "check", "--id", "caseb2c2", "--n", "3", "--m", "3,4,5"],
+         "verdict", "verdict: FAIL"),
     ):
         code, payload = run_json(capsys, *argv)
         assert code == 3
         assert payload["status"] == "error"
         assert payload["error"]["code"] == "VerificationMismatch"
-        assert payload["result"]["match" if argv[0] == "delta" else "verdict"] is False
+        assert payload["result"][key] is False
 
         code, out = run(capsys, *argv)
         lines = out.splitlines()
