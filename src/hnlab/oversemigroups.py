@@ -16,6 +16,7 @@ multiplicity m, visited in lexicographic order of the adjoined gap list.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import gcd
@@ -48,6 +49,7 @@ class DeltaReport:
     bound: int
     flagged: tuple[tuple[int, int, int], ...]
     expected: tuple[tuple[int, int, int], ...]
+    triples_examined: int
 
     @property
     def matches(self) -> bool:
@@ -71,22 +73,27 @@ def _iter_cover_masks(base: NumericalSemigroup) -> Iterator[int]:
     base_mask = _member_mask(base, frob)
     window = [x for x in range(mult, frob + 1) if not base.contains(x)]
 
-    def visit(mask: int, missing: int, start: int) -> Iterator[int]:
-        if missing == 0:
-            yield mask
-            limit = None
-        else:
-            limit = (missing & -missing).bit_length() - 1
-        for i in range(start, len(window)):
-            x = window[i]
-            if limit is not None and x > limit:
-                break
-            new_mask = mask | (1 << x)
-            new_missing = (missing | (new_mask << x)) & full & ~new_mask
-            yield from visit(new_mask, new_missing, i + 1)
-
+    # Preorder DFS on an explicit stack of (mask, forced, next index, end
+    # index) frames.  Children adjoin window[i] for next <= i < end; a node
+    # with forced positions may only adjoin gaps up to the smallest of them.
     # The base itself is closed, so the root starts with no forced positions.
-    yield from visit(base_mask, 0, 0)
+    yield base_mask
+    stack = [(base_mask, 0, 0, len(window))]
+    while stack:
+        mask, forced, i, end = stack[-1]
+        if i == end:
+            stack.pop()
+            continue
+        stack[-1] = (mask, forced, i + 1, end)
+        x = window[i]
+        child = mask | (1 << x)
+        child_forced = (forced | (child << x)) & full & ~child
+        if child_forced:
+            limit = (child_forced & -child_forced).bit_length() - 1
+            stack.append((child, child_forced, i + 1, bisect_right(window, limit, i + 1)))
+        else:
+            yield child
+            stack.append((child, 0, i + 1, len(window)))
 
 
 def _mask_frobenius(mask: int, upto: int) -> int:
@@ -191,7 +198,7 @@ def verify_delta(bound: int, jobs: int = 1) -> DeltaReport:
     else:
         flagged = [t for t in triples if _triple_is_uncovered(t)]
     expected = tuple(t for t in DELTA if t[2] <= bound)
-    return DeltaReport(bound, tuple(sorted(flagged)), expected)
+    return DeltaReport(bound, tuple(sorted(flagged)), expected, len(triples))
 
 
 def witness_families(m1: int) -> list[NumericalSemigroup]:

@@ -95,45 +95,47 @@ class TraitReport:
     almost_symmetric: bool
 
 
-def _apery_by_relaxation(
-    gens: tuple[int, ...], modulus: int, max_frobenius: int | None = None
-) -> tuple[int, ...]:
-    """Least element of <gens> in each class mod ``modulus``, by round-robin
-    relaxation of the cyclic residue graph (edges r -> r+g mod modulus of
-    weight g).  Each full pass costs O(modulus * len(gens)).
+def _apery_round_robin(
+    gens: tuple[int, ...], max_frobenius: int | None = None
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Apéry set of <gens> with respect to ``gens[0]``, and the generators
+    that were not already in the semigroup of those before them.
 
-    If the values imply a Frobenius number beyond ``max_frobenius`` the
-    relaxation is aborted; unconverged passes beyond cap//modulus + 3 can
-    only occur in that regime.
+    Round-robin algorithm of Böcker & Lipták (Algorithmica 48, 2007): each
+    new generator g walks every cycle r -> r+g (mod m) of the residue table
+    once, starting from the cycle's least entry.  One pass, O(m * len(gens)).
+    A generator with g >= dist[g mod m] already lies in the semigroup of the
+    earlier ones and is skipped, so for sorted input the kept generators are
+    the minimal system.  Raises FrobeniusCapExceeded once the pass shows a
+    Frobenius number beyond ``max_frobenius``.
     """
-    dist: list[int | float] = [_INF] * modulus
+    m = gens[0]
+    dist: list[int | float] = [_INF] * m
     dist[0] = 0
-    pass_limit = None if max_frobenius is None else max_frobenius // modulus + 3
-    passes = 0
-    changed = True
-    while changed:
-        changed = False
-        passes += 1
-        if pass_limit is not None and passes > pass_limit:
-            raise FrobeniusCapExceeded(
-                f"Frobenius number exceeds the cap of {max_frobenius}"
-            )
-        for r in range(modulus):
-            d = dist[r]
-            if d is _INF:
+    kept = [m]
+    for g in gens[1:]:
+        if g >= dist[g % m]:
+            continue
+        kept.append(g)
+        d = gcd(g, m)
+        for p in range(d):
+            n = min(dist[p::d])
+            if n is _INF:
                 continue
-            for g in gens:
-                nr = (r + g) % modulus
-                nd = d + g
-                if nd < dist[nr]:
-                    dist[nr] = nd
-                    changed = True
-    out = tuple(int(d) for d in dist)
-    if max_frobenius is not None and max(out) - modulus > max_frobenius:
+            for _ in range(m // d - 1):
+                n += g
+                r = n % m
+                if dist[r] < n:
+                    n = dist[r]
+                else:
+                    dist[r] = n
+    apery = tuple(dist)  # gcd 1: every class is reached, every entry an int
+    frob = max(apery) - m
+    if max_frobenius is not None and frob > max_frobenius:
         raise FrobeniusCapExceeded(
-            f"Frobenius number {max(out) - modulus} exceeds the cap of {max_frobenius}"
+            f"Frobenius number {frob} exceeds the cap of {max_frobenius}"
         )
-    return out
+    return apery, tuple(kept)
 
 
 def from_generators(
@@ -157,19 +159,8 @@ def from_generators(
         raise NonCofinite(
             f"gcd of generators is {gcd(*canon)}; a numerical semigroup needs gcd 1"
         )
-    m = canon[0]
-    apery = _apery_by_relaxation(canon, m, max_frobenius)
-
-    def member(n: int) -> bool:
-        return n >= 0 and n >= apery[n % m]
-
-    minimal = []
-    for g in canon:
-        # g is redundant iff it is a sum of two nonzero elements.
-        redundant = any(member(s) and member(g - s) for s in range(m, g - m + 1))
-        if not redundant:
-            minimal.append(g)
-    return NumericalSemigroup(tuple(minimal), apery)
+    apery, minimal = _apery_round_robin(canon, max_frobenius)
+    return NumericalSemigroup(minimal, apery)
 
 
 def apery_set(s: NumericalSemigroup, n: int) -> tuple[int, ...]:
@@ -181,7 +172,8 @@ def apery_set(s: NumericalSemigroup, n: int) -> tuple[int, ...]:
     """
     if n < 1 or not s.contains(n):
         raise NotMember(f"{n} is not a nonzero element of {s}")
-    return _apery_by_relaxation(s.minimal_gens, n)
+    # n is in s, so <n, minimal_gens> = s and the skip test stays valid.
+    return _apery_round_robin((n, *s.minimal_gens))[0]
 
 
 def profile(s: NumericalSemigroup) -> GapProfile:
@@ -217,13 +209,13 @@ def is_irreducible(s: NumericalSemigroup) -> bool:
 def pseudo_frobenius(s: NumericalSemigroup) -> tuple[int, ...]:
     """Gaps x with x + s' in S for every nonzero s' in S.
 
-    It suffices to test x + g for each minimal generator g, since sums of
-    members stay members.
+    Each such x has x + m in the Apéry set Ap(S, m), so they are the values
+    w - m for w != 0 in Ap(S, m) with w - m + g in S for every minimal
+    generator g (Rosales & García-Sánchez, Numerical Semigroups, Prop. 2.20).
+    Testing the minimal generators suffices, since sums of members stay members.
     """
-    gens = s.minimal_gens
-    return tuple(
-        x for x in profile(s).gaps if all(s.contains(x + g) for g in gens)
-    )
+    m, gens = s.multiplicity, s.minimal_gens
+    return tuple(sorted(w - m for w in s.apery if w and all(w - m + g in s for g in gens)))
 
 
 def traits(s: NumericalSemigroup) -> TraitReport:

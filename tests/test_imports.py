@@ -1,8 +1,11 @@
-"""Import structure of the package: every import at module top, no cycles."""
+"""Import structure of the package: every import at module top, no cycles;
+and the entry points that the benchmark's traced pass wraps still exist."""
 
 from __future__ import annotations
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import hnlab
@@ -50,3 +53,17 @@ def test_package_import_graph_is_acyclic():
 
     for name in graph:
         visit(name, ())
+
+
+def test_bench_layer_functions_resolve():
+    # Parsed, not imported: the bench harness patches modules when loaded.
+    tree = ast.parse((Path(__file__).parents[1] / "bench" / "tracing.py").read_text("utf-8"))
+    (layers,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.AnnAssign) and ast.unparse(node.target) == "LAYER_FUNCTIONS"
+    ]
+    assert layers
+    for module, func in layers:
+        assert callable(getattr(importlib.import_module(f"hnlab.{module}"), func, None)), func
+    assert "jobs" in inspect.signature(hnlab.verify_delta).parameters

@@ -127,6 +127,11 @@ def test_cover_known_values():
     v = symmetric_cover(CoverQuery(from_generators([4, 5, 6]), 4))
     assert v.covered and v.witness.minimal_gens == (4, 5, 6) and v.search_count == 1
 
+    # deep window: the search must not recurse once per adjoined gap
+    v = symmetric_cover(CoverQuery(from_generators([80, 81, 83]), 80))
+    assert v.covered and v.witness.minimal_gens == tuple(range(80, 159))
+    assert v.search_count == 3
+
 
 def test_cover_verdict_is_consistent_with_enumeration():
     for gens in ORACLE_BASES[:40]:

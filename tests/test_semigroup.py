@@ -94,7 +94,7 @@ def test_from_generators_idempotent_on_population():
         assert again == s
 
 def test_frobenius_cap():
-    with pytest.raises(FrobeniusCapExceeded):
+    with pytest.raises(FrobeniusCapExceeded, match="Frobenius number 10199 exceeds the cap of 1000"):
         from_generators([101, 103], max_frobenius=1000)
     # cap above the true Frobenius number F(<a,b>) = ab - a - b is fine
     assert from_generators([101, 103], max_frobenius=11_000).frobenius == 101 * 103 - 101 - 103
@@ -123,7 +123,9 @@ def test_apery_non_member_rejected():
 def test_apery_against_oracle_on_members():
     for gens in ([3, 5, 7], [4, 6, 7], [2, 9], [5, 7, 9, 11]):
         s = from_generators(gens)
-        for n in gens:
+        m = s.multiplicity
+        # generators, and members that are not generators
+        for n in (*gens, 2 * m, m + s.minimal_gens[1], s.frobenius + 1):
             assert list(apery_set(s, n)) == oracle_apery(gens, n)
 
 def test_apery_definitional_invariants_on_population():
@@ -255,9 +257,14 @@ def test_membership_matches_dp_closure(gens):
         gens = gens + [max(gens) + 1]  # gcd(d, max+1) = 1 for any d | max
     s = from_generators(gens)
     limit = 3 * max(gens)
-    members = dp_members(sorted(set(gens)), limit)
+    canon = sorted(set(gens))
+    members = dp_members(canon, limit)
     for n in range(limit + 1):
         assert s.contains(n) == (n in members)
+    # minimal system: the generators outside the closure of the smaller ones
+    assert s.minimal_gens == tuple(
+        g for i, g in enumerate(canon) if g not in dp_members(canon[:i], g)
+    )
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(1, 60), min_size=1, max_size=8))
