@@ -4,7 +4,8 @@ Every invocation emits exactly one report, as stable text (default) or as a
 single JSON object with schema version "v1"; both carry identical numbers.
 Lists are sorted and nothing time-dependent enters the payload (elapsed
 time goes to stderr).  Exit codes: 0 ok, 1 usage or parse failure, 2 domain
-precondition violated, 3 verification mismatch.
+precondition violated, 3 verification mismatch or internal error (any other
+exception: its traceback goes to stderr, never a bare crash).
 
 The environment variable HNLAB_MAX_FROBENIUS (default 1000000) caps both
 the size of accepted generators and the Frobenius number of any semigroup
@@ -18,6 +19,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from typing import Any, Callable, Sequence
 
 from . import hn
@@ -130,6 +132,7 @@ def _cmd_delta_verify(args: argparse.Namespace) -> Result:
         "expected": [list(t) for t in delta.expected],
         "match": delta.matches,
         "triples_examined": delta.triples_examined,
+        "triples_searched": delta.triples_searched,
     }
     if not delta.matches:
         raise VerificationMismatch("flagged triples differ from the known four", result)
@@ -255,6 +258,7 @@ def _render_delta(r: Result) -> list[str]:
 
     return [
         f"triples_examined: {r['triples_examined']}",
+        f"triples_searched: {r['triples_searched']}",
         f"flagged: {triples(r['flagged'])}",
         f"expected: {triples(r['expected'])}",
         f"match: {_fmt(r['match'])}",
@@ -418,6 +422,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InvariantViolation as exc:
         error, exit_code = exc, EXIT_MISMATCH
         result = getattr(exc, "result", None)
+    except Exception as exc:  # a bug, not a domain outcome: still one report
+        error, exit_code = exc, EXIT_MISMATCH
+        traceback.print_exc(file=sys.stderr)
     report["status"] = "ok" if error is None else "error"
     if error is not None:
         report["error"] = {"code": type(error).__name__, "message": str(error)}

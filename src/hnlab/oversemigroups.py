@@ -12,6 +12,12 @@ are not themselves members) is maintained incrementally; a branch that has
 skipped past its smallest forced position can never close up and is
 pruned.  Leaves with no forced positions are exactly the oversemigroups of
 multiplicity m, visited in lexicographic order of the adjoined gap list.
+
+The census certifies first and searches second.  A triple with m1 >= 5
+that lies in one of the four symmetric families of ``witness_families``
+(the paper's constructive proof) is covered, by exact membership; only
+the remaining triples, m1 in {3, 4} and any triple no family contains, go
+through the search.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import groupby
 from math import gcd
 from typing import Iterator
 
@@ -50,6 +57,7 @@ class DeltaReport:
     flagged: tuple[tuple[int, int, int], ...]
     expected: tuple[tuple[int, int, int], ...]
     triples_examined: int
+    triples_searched: int
 
     @property
     def matches(self) -> bool:
@@ -177,28 +185,42 @@ def candidate_triples(bound: int) -> list[tuple[int, int, int]]:
 
 def _triple_is_uncovered(triple: tuple[int, int, int]) -> bool:
     base = from_generators(triple)
-    return not symmetric_cover(CoverQuery(base, base.multiplicity)).covered
+    frob = base.frobenius
+    return not any(_mask_is_symmetric(mask, frob) for mask in _iter_cover_masks(base))
+
+
+def _uncertified(triples: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
+    """The triples, sorted by m1, that no witness family of their multiplicity
+    contains; every triple with m1 < 5 is kept.  Each m1's families are
+    built once."""
+    out = []
+    for m1, group in groupby(triples, key=lambda t: t[0]):
+        families = witness_families(m1) if m1 >= 5 else []
+        out.extend(t for t in group if not any(t[1] in s and t[2] in s for s in families))
+    return out
 
 
 def verify_delta(bound: int, jobs: int = 1) -> DeltaReport:
     """Flag every embedding-dimension-3 triple within ``bound`` that has no
     symmetric cover, and compare against the known four.
 
-    ``jobs`` > 1 evaluates triples in a process pool; each triple is
-    independent and the flagged list is sorted, so results do not depend on
-    scheduling.
+    A triple that a witness family contains is covered by that family; every
+    other triple is decided by the exhaustive cover search.  ``jobs`` > 1
+    runs those searches in a process pool; each triple is independent and
+    the flagged list is sorted, so results do not depend on scheduling.
     """
     if bound < 3:
         raise DomainError(f"bound must be at least 3, got {bound}")
     triples = candidate_triples(bound)
+    searched = _uncertified(triples)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            uncovered = list(pool.map(_triple_is_uncovered, triples, chunksize=16))
-        flagged = [t for t, bad in zip(triples, uncovered) if bad]
+            uncovered = list(pool.map(_triple_is_uncovered, searched, chunksize=16))
     else:
-        flagged = [t for t in triples if _triple_is_uncovered(t)]
+        uncovered = list(map(_triple_is_uncovered, searched))
+    flagged = [t for t, bad in zip(searched, uncovered) if bad]
     expected = tuple(t for t in DELTA if t[2] <= bound)
-    return DeltaReport(bound, tuple(sorted(flagged)), expected, len(triples))
+    return DeltaReport(bound, tuple(sorted(flagged)), expected, len(triples), len(searched))
 
 
 def witness_families(m1: int) -> list[NumericalSemigroup]:

@@ -179,8 +179,10 @@ def apery_set(s: NumericalSemigroup, n: int) -> tuple[int, ...]:
 def profile(s: NumericalSemigroup) -> GapProfile:
     """Compute the gap-side profile of s exactly.
 
-    For S = N this yields frobenius -1 and no gaps.  ``n_below`` is counted
-    by direct membership scan, independently of the identity g + n = F + 1.
+    For S = N this yields frobenius -1 and no gaps.  ``n_below`` counts, in
+    each residue class mod m, the members a, a + m, ... below F from the
+    class's Apéry element a: O(m), and independent of the genus identity
+    g + n = F + 1.
     """
     m = s.multiplicity
     frob = s.frobenius
@@ -188,7 +190,7 @@ def profile(s: NumericalSemigroup) -> GapProfile:
     for r, a in enumerate(s.apery):
         gaps.extend(a - k * m for k in range(1, a // m + 1))
     gaps.sort()
-    n_below = sum(1 for x in range(0, max(frob, 0)) if s.contains(x))
+    n_below = sum(max(0, -((a - frob) // m)) for a in s.apery)
     return GapProfile(frob, tuple(gaps), len(gaps), n_below)
 
 

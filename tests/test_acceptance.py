@@ -208,3 +208,13 @@ def test_criterion_7_property_suites():
 
         elapsed = time.perf_counter() - started
         assert elapsed < 300.0, f"took {elapsed:.1f}s"
+
+
+def test_criterion_8_census_to_100():
+    with criterion(8, "delta verify --bound 100 flags exactly the four triples (< 10 s)"):
+        started = time.perf_counter()
+        report = verify_delta(100)
+        elapsed = time.perf_counter() - started
+        assert report.flagged == DELTA
+        assert report.matches
+        assert elapsed < 10.0, f"took {elapsed:.1f}s"

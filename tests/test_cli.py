@@ -235,6 +235,7 @@ def test_text_and_json_values_agree_on_delta(capsys):
     code2, out = run(capsys, "delta", "verify", "--bound", "9")
     assert code == code2 == 0
     assert f"triples_examined: {payload['result']['triples_examined']}" in out
+    assert f"triples_searched: {payload['result']['triples_searched']}" in out
     for triple in payload["result"]["flagged"]:
         assert ",".join(map(str, triple)) in out
 
@@ -267,3 +268,40 @@ def test_mismatch_exit_code_mapping(capsys, monkeypatch):
         assert lines[-2].startswith("error_message: ")
         assert lines[-1] == "status: error"
         assert lines.index(result_line) < len(lines) - 3
+
+
+def test_unexpected_exception_exits_3_with_one_report(capsys, monkeypatch):
+    def boom(args):
+        raise RuntimeError("handler bug")
+
+    monkeypatch.setattr(cli, "_cmd_sgp_analyze", boom)
+    code = main(["sgp", "analyze", "3", "4", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert json.loads(captured.out) == {
+        "schema": "v1",
+        "command": "sgp analyze",
+        "inputs": {"gens": [3, 4]},
+        "status": "error",
+        "error": {"code": "RuntimeError", "message": "handler bug"},
+    }
+    assert "Traceback (most recent call last)" in captured.err
+    assert "RuntimeError: handler bug" in captured.err
+
+    code, out = run(capsys, "sgp", "analyze", "3", "4")
+    assert code == 3
+    assert out.splitlines()[-3:] == [
+        "error: RuntimeError", "error_message: handler bug", "status: error",
+    ]
+
+
+def test_base_exceptions_pass_through(monkeypatch):
+    class Interrupt(BaseException):
+        pass
+
+    def interrupted(args):
+        raise Interrupt
+
+    monkeypatch.setattr(cli, "_cmd_sgp_analyze", interrupted)
+    with pytest.raises(Interrupt):
+        main(["sgp", "analyze", "3", "4"])

@@ -195,6 +195,35 @@ def test_verify_delta_parallel_matches_serial():
     assert serial == parallel
 
 
+@pytest.fixture(scope="module")
+def covered_upto_30() -> dict[tuple[int, int, int], bool]:
+    """The exhaustive oracle: symmetric_cover on every candidate triple up to 30."""
+    return {
+        t: symmetric_cover(CoverQuery(from_generators(t), t[0])).covered
+        for t in candidate_triples(30)
+    }
+
+
+def test_verify_delta_matches_exhaustive_oracle(covered_upto_30):
+    for bound in range(3, 31):
+        uncovered = [t for t in candidate_triples(bound) if not covered_upto_30[t]]
+        assert list(verify_delta(bound).flagged) == uncovered, bound
+
+
+def test_family_certificates_agree_with_the_search(covered_upto_30):
+    for t, covered in covered_upto_30.items():
+        if t[0] >= 5:
+            families = witness_families(t[0])
+            assert any(t[1] in s and t[2] in s for s in families), t
+            assert covered, t
+
+
+def test_census_searches_only_multiplicities_3_and_4():
+    report = verify_delta(60)
+    assert report.triples_examined == len(candidate_triples(60))
+    assert report.triples_searched == sum(1 for t in candidate_triples(60) if t[0] < 5)
+
+
 # ── the four witness families ────────────────────────────────────────────────
 
 

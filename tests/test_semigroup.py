@@ -173,6 +173,8 @@ def test_profile_matches_oracle_on_population():
         gaps = oracle_gaps(gens)
         assert list(p.gaps) == gaps
         assert p.frobenius == (max(gaps) if gaps else -1)
+        members = dp_members(gens, max(p.frobenius, 0))
+        assert p.n_below == sum(1 for x in members if x < p.frobenius)
 
 def test_gap_identities_on_population():
     for gens in POPULATION:
