@@ -1,11 +1,13 @@
 """Command-line front end.
 
 Every invocation emits exactly one report, as stable text (default) or as a
-single JSON object with schema version "v1"; both carry identical numbers.
-Lists are sorted and nothing time-dependent enters the payload (elapsed
-time goes to stderr).  Exit codes: 0 ok, 1 usage or parse failure, 2 domain
-precondition violated, 3 verification mismatch or internal error (any other
-exception: its traceback goes to stderr, never a bare crash).
+single JSON object with schema version "v1".  Payloads are derived from
+the library's result dataclasses; the text report is a summary rendered
+only from the JSON ``result``.  Lists are sorted and nothing time-dependent
+enters the payload (elapsed time goes to stderr).  Exit codes: 0 ok, 1 usage
+or parse failure, 2 domain precondition violated, 3 verification mismatch or
+internal error (any other exception: its traceback goes to stderr, never a
+bare crash).
 
 The environment variable HNLAB_MAX_FROBENIUS (default 1000000) caps both
 the size of accepted generators and the Frobenius number of any semigroup
@@ -15,11 +17,13 @@ the run is allowed to enumerate.
 from __future__ import annotations
 
 import argparse
+import enum
 import json
 import os
 import sys
 import time
 import traceback
+from dataclasses import fields, is_dataclass
 from typing import Any, Callable, Sequence
 
 from . import hn
@@ -88,6 +92,20 @@ def _triple(text: str) -> tuple[int, int, int]:
         raise argparse.ArgumentTypeError(f"non-integer entry in {text!r}") from None
 
 
+def _plain(obj: Any, omit: tuple[str, ...] = ()) -> Any:
+    """``obj`` as JSON-ready data: a dataclass becomes a dict of its fields
+    less ``omit`` (a one-field dataclass just that field), a tuple or list a
+    list, an enum its value.  Unlike ``dataclasses.asdict``, no tuple stays."""
+    if is_dataclass(obj):
+        names = [f.name for f in fields(obj)]
+        if len(names) == 1:
+            return _plain(getattr(obj, names[0]))
+        return {name: _plain(getattr(obj, name)) for name in names if name not in omit}
+    if isinstance(obj, (tuple, list)):
+        return [_plain(item) for item in obj]
+    return obj.value if isinstance(obj, enum.Enum) else obj
+
+
 def _semigroup_payload(s: NumericalSemigroup) -> Result:
     prof = profile(s)
     tr = traits(s)
@@ -127,13 +145,7 @@ def _cmd_sgp_sym_cover(args: argparse.Namespace) -> Result:
 
 def _cmd_delta_verify(args: argparse.Namespace) -> Result:
     delta = verify_delta(args.bound, jobs=args.jobs)
-    result = {
-        "flagged": [list(t) for t in delta.flagged],
-        "expected": [list(t) for t in delta.expected],
-        "match": delta.matches,
-        "triples_examined": delta.triples_examined,
-        "triples_searched": delta.triples_searched,
-    }
+    result = {**_plain(delta, omit=("bound",)), "match": delta.matches}
     if not delta.matches:
         raise VerificationMismatch("flagged triples differ from the known four", result)
     return result
@@ -143,71 +155,25 @@ def _cmd_hn_build(args: argparse.Namespace) -> Result:
     cap = _frobenius_cap()
     ideal = hn.build(hn.ExponentPair(args.a, args.b), max_frobenius=cap)
     pair = ideal.exponents
-    result: Result = {
-        "a": list(pair.a),
-        "b": list(pair.b),
+    return {
+        **_plain(pair),
         "c": list(pair.c),
         "m": list(ideal.m),
         "coprime": ideal.coprime,
-        "generators": [
-            {"plus": list(g.plus), "minus": list(g.minus), "text": g.render(("x", "y", "z"))}
-            for g in ideal.generators
-        ],
+        "generators": [{**_plain(g), "text": g.render(("x", "y", "z"))} for g in ideal.generators],
         "value_semigroup": _semigroup_payload(ideal.value_semigroup) if ideal.coprime else None,
-        "verdict": None,
+        "verdict": None if args.e is None else _plain(hn.theorem_verdict(ideal, args.e)),
     }
-    if args.e is not None:
-        verdict = hn.theorem_verdict(ideal, args.e)
-        result["verdict"] = {
-            "hypothesis_ok": verdict.hypothesis_ok,
-            "multiplicity_e": verdict.multiplicity_e,
-            "outcome": verdict.outcome.value,
-            "possible_cases": list(verdict.possible_cases),
-        }
-    return result
 
 
 def _cmd_hn_solve(args: argparse.Namespace) -> Result:
-    return {
-        "m": list(args.m),
-        "solutions": [{"a": list(p.a), "b": list(p.b)} for p in hn.solve_exponents(args.m)],
-    }
+    return {"m": list(args.m), "solutions": _plain(hn.solve_exponents(args.m))}
 
 
 def _cmd_catalogue_check(args: argparse.Namespace) -> Result:
     spec = example_spec(args.id, args.n, args.m)
     example = verify_example(spec)
-    result = {
-        "id": spec.id,
-        "n": spec.n,
-        "m": list(spec.m),
-        "factors": [
-            {
-                "monomials": [list(mono) for mono in f.monomials],
-                "weights": list(f.weights.weights) if f.weights else None,
-                "note": f.note,
-            }
-            for f in spec.factors
-        ],
-        "weight_checks": [
-            {
-                "subject": c.subject,
-                "weights": list(c.weights) if c.weights else None,
-                "passed": c.passed,
-                "detail": c.detail,
-            }
-            for c in example.weight_checks
-        ],
-        "gcd_tuple": list(spec.gcd_tuple),
-        "gcd_ok": example.gcd_ok,
-        "predicted": {
-            "label": spec.predicted.label,
-            "e": spec.predicted.e,
-            "components": [list(comp) for comp in spec.predicted.components],
-        },
-        "caveat": spec.caveat,
-        "verdict": example.verdict,
-    }
+    result = {**_plain(spec), **_plain(example, omit=("spec",))}
     if not example.verdict:
         raise VerificationMismatch("catalogued example failed its checks", result)
     return result
@@ -217,11 +183,7 @@ def _cmd_cases(args: argparse.Namespace) -> Result:
     return {
         "e": args.e,
         "cases": [
-            {
-                "label": r.label,
-                "components": [list(comp) for comp in r.components],
-                "n_components": r.n_components,
-            }
+            {"label": r.label, "components": _plain(r.components), "n_components": r.n_components}
             for r in enumerate_cases(args.e)
         ],
     }

@@ -30,7 +30,7 @@ from math import gcd
 from typing import Iterator
 
 from .errors import DomainError, InvariantViolation, UnsupportedMultiplicity
-from .semigroup import NumericalSemigroup, from_generators, is_symmetric
+from .semigroup import NumericalSemigroup, from_generators, is_symmetric, profile
 
 #: The four triples not contained in any symmetric semigroup of equal multiplicity.
 DELTA: tuple[tuple[int, int, int], ...] = ((3, 4, 5), (3, 5, 7), (4, 5, 7), (4, 7, 9))
@@ -46,6 +46,13 @@ class CoverQuery:
 
 @dataclass(frozen=True)
 class CoverVerdict:
+    """Outcome of a symmetric cover search.
+
+    ``search_count`` is the witness's 1-based rank in the search order of
+    ``oversemigroups_with_multiplicity(base, m)``; when the base is
+    uncovered, it is the number of such oversemigroups.
+    """
+
     covered: bool
     witness: NumericalSemigroup | None
     search_count: int
@@ -64,22 +71,13 @@ class DeltaReport:
         return self.flagged == self.expected
 
 
-def _member_mask(s: NumericalSemigroup, upto: int) -> int:
-    mask = 0
-    for x in range(upto + 1):
-        if s.contains(x):
-            mask |= 1 << x
-    return mask
-
-
 def _iter_cover_masks(base: NumericalSemigroup) -> Iterator[int]:
     """Yield membership masks over [0, F(base)] of every oversemigroup of the
     same multiplicity, in lexicographic order of the adjoined gap subsets."""
-    frob = base.frobenius
-    mult = base.multiplicity
-    full = (1 << (frob + 1)) - 1
-    base_mask = _member_mask(base, frob)
-    window = [x for x in range(mult, frob + 1) if not base.contains(x)]
+    gaps = profile(base).gaps
+    full = (1 << (base.frobenius + 1)) - 1
+    base_mask = full ^ sum(1 << x for x in gaps)
+    window = gaps[base.multiplicity - 1 :]  # the gaps below m are exactly 1..m-1
 
     # Preorder DFS on an explicit stack of (mask, forced, next index, end
     # index) frames.  Children adjoin window[i] for next <= i < end; a node
@@ -123,6 +121,13 @@ def _semigroup_from_mask(mask: int, upto: int, mult: int) -> NumericalSemigroup:
     return from_generators(gens)
 
 
+def _require_multiplicity(s: NumericalSemigroup, m: int) -> None:
+    if m != s.multiplicity:
+        raise UnsupportedMultiplicity(
+            f"requested multiplicity {m}, but {s} has multiplicity {s.multiplicity}"
+        )
+
+
 def oversemigroups_with_multiplicity(
     s: NumericalSemigroup, m: int
 ) -> list[NumericalSemigroup]:
@@ -132,10 +137,7 @@ def oversemigroups_with_multiplicity(
     Only m = multiplicity(s) is supported; anything else raises
     UnsupportedMultiplicity.
     """
-    if m != s.multiplicity:
-        raise UnsupportedMultiplicity(
-            f"requested multiplicity {m}, but {s} has multiplicity {s.multiplicity}"
-        )
+    _require_multiplicity(s, m)
     if s.frobenius < 0:
         return [s]
     frob = s.frobenius
@@ -146,11 +148,7 @@ def symmetric_cover(q: CoverQuery) -> CoverVerdict:
     """Decide whether some symmetric semigroup of multiplicity ``target_mult``
     contains the base; stops at the first witness found by the ordered search."""
     base = q.base
-    if q.target_mult != base.multiplicity:
-        raise UnsupportedMultiplicity(
-            f"requested multiplicity {q.target_mult}, "
-            f"but {base} has multiplicity {base.multiplicity}"
-        )
+    _require_multiplicity(base, q.target_mult)
     if base.frobenius < 0:
         return CoverVerdict(True, base, 1)
     frob = base.frobenius
@@ -162,24 +160,25 @@ def symmetric_cover(q: CoverQuery) -> CoverVerdict:
     return CoverVerdict(False, None, count)
 
 
-def _in_two_generated(n: int, g1: int, g2: int) -> bool:
-    return any((n - k * g2) % g1 == 0 for k in range(n // g2 + 1))
-
-
 def candidate_triples(bound: int) -> list[tuple[int, int, int]]:
     """Triples 3 <= m1 < m2 < m3 <= bound with gcd 1 and embedding dimension
-    exactly 3 (m2 not a multiple of m1, m3 outside <m1, m2>)."""
+    exactly 3 (m2 not a multiple of m1, m3 outside <m1, m2>).
+
+    When gcd(m1, m2) = 1, the least member of <m1, m2> congruent to m3 mod
+    m1 is k*m2 with k = m3 * m2^-1 mod m1, an O(1) test.  Otherwise every
+    m3 coprime to gcd(m1, m2) lies outside <m1, m2>."""
     out = []
     for m1 in range(3, bound - 1):
         for m2 in range(m1 + 1, bound):
             if m2 % m1 == 0:
                 continue
-            for m3 in range(m2 + 1, bound + 1):
-                if gcd(m1, m2, m3) != 1:
-                    continue
-                if _in_two_generated(m3, m1, m2):
-                    continue
-                out.append((m1, m2, m3))
+            m3s = range(m2 + 1, bound + 1)
+            d = gcd(m1, m2)
+            if d > 1:
+                out.extend((m1, m2, m3) for m3 in m3s if gcd(d, m3) == 1)
+            else:
+                inv = pow(m2, -1, m1)
+                out.extend((m1, m2, m3) for m3 in m3s if m3 * inv % m1 * m2 > m3)
     return out
 
 

@@ -188,7 +188,7 @@ def profile(s: NumericalSemigroup) -> GapProfile:
     frob = s.frobenius
     gaps: list[int] = []
     for r, a in enumerate(s.apery):
-        gaps.extend(a - k * m for k in range(1, a // m + 1))
+        gaps.extend(range(r, a, m))  # the gaps in class r lie below its Apéry element
     gaps.sort()
     n_below = sum(max(0, -((a - frob) // m)) for a in s.apery)
     return GapProfile(frob, tuple(gaps), len(gaps), n_below)

@@ -10,6 +10,7 @@ CHANGES.md together with the updated file.
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -42,3 +43,56 @@ def test_transcripts_cover_every_command_format_and_outcome():
         "catalogue check", "cases",
     }
     assert {(c, f, x) for c in commands for f in ("text", "json") for x in (0, 2)} <= seen
+
+
+def _documented_payloads() -> dict[str, dict[str, str]]:
+    """README's per-command ``result`` keys, each with the text of the
+    parenthetical note that follows it (empty when there is none)."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    block = readme.split("Per-command `result` payloads:")[1].split("\n\n")[1]
+    payloads = {}
+    for bullet in block.split("\n* "):
+        command, _, body = " ".join(bullet.lstrip("* ").split()).partition(" - ")
+        keys: dict[str, str] = {}
+        depth, key = 0, ""
+        for token in re.findall(r"`[^`]*`|\(|\)|[^`()]+", body):
+            depth -= token == ")"
+            if depth == 0 and re.fullmatch(r"`[a-z_]+`", token):
+                key = token.strip("`")
+                keys[key] = ""
+            elif depth > 0:
+                keys[key] += token
+            depth += token == "("
+        payloads[command.strip("`")] = keys
+    return payloads
+
+
+def _nested_keys(note: str, payloads: dict[str, dict[str, str]]) -> set[str] | None:
+    """The keys a README note gives for an object or a list of objects: the
+    keys of another command's payload, or the names after "with"."""
+    if match := re.search(r"an `([a-z -]+)` payload", note):
+        return set(payloads[match.group(1)])
+    if match := re.search(r"\bwith ([^;]*)", note):
+        return set(re.findall(r"`([a-z_]+)`", match.group(1)))
+    return None
+
+
+def test_result_keys_match_readme_schema():
+    payloads = _documented_payloads()
+    reports = [
+        json.loads(e["stdout"]) for e in _TRANSCRIPTS if e["argv"][-1] == "json" and e["exit"] == 0
+    ]
+    assert {r["command"] for r in reports} == set(payloads)
+    seen: dict[tuple[str, str], set[str]] = {}
+    for report in reports:
+        documented, result = payloads[report["command"]], report["result"]
+        assert set(result) == set(documented), report["command"]
+        for key, value in result.items():
+            items = value if isinstance(value, list) else [value]
+            objects = [item for item in items if isinstance(item, dict)]
+            nested = _nested_keys(documented[key], payloads)
+            assert objects == [] or nested is not None, (report["command"], key)
+            for item in objects:
+                seen.setdefault((report["command"], key), set()).update(item)
+    for (command, key), keys in seen.items():
+        assert keys == _nested_keys(payloads[command][key], payloads), (command, key)

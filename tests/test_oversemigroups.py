@@ -146,7 +146,12 @@ def test_cover_verdict_is_consistent_with_enumeration():
             assert all(verdict.witness.contains(g) for g in base.minimal_gens)
             # early exit: the witness is the first symmetric cover in search order
             assert verdict.witness == symmetric_ones[0]
-            assert verdict.search_count <= len(all_covers)
+            # search_count is the witness's 1-based rank in that order
+            assert all_covers[verdict.search_count - 1] == verdict.witness
+            assert not any(is_symmetric(u) for u in all_covers[: verdict.search_count - 1])
+        else:
+            # uncovered: search_count is the number of oversemigroups
+            assert verdict.search_count == len(all_covers)
 
 
 def test_cover_monotone_in_inclusion():
@@ -163,7 +168,7 @@ def test_cover_monotone_in_inclusion():
 
 
 def test_candidate_triples_filter():
-    triples = candidate_triples(9)
+    triples = candidate_triples(30)
     assert (3, 4, 5) in triples
     assert (3, 7, 8) in triples
     assert (3, 6, 9) not in triples  # gcd 3
@@ -172,6 +177,13 @@ def test_candidate_triples_filter():
     assert (4, 8, 9) not in triples  # 8 multiple of 4
     for t in triples:
         assert from_generators(list(t)).embedding_dimension == 3
+    # complete both ways, in lexicographic order: every gcd-1 triple of
+    # embedding dimension 3 is listed, and nothing else
+    assert triples == [
+        t
+        for t in combinations(range(3, 31), 3)
+        if gcd(*t) == 1 and from_generators(t).embedding_dimension == 3
+    ]
 
 
 @pytest.mark.parametrize("bound", [9, 12, 15])
