@@ -303,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sgp_sub.add_parser("analyze", parents=[common], help="full invariant report")
     p.add_argument("gens", nargs="+", type=_positive_int, metavar="GEN")
     p.set_defaults(handler=_cmd_sgp_analyze, render=_render_fields)
-    p = sgp_sub.add_parser("sym-cover", parents=[common], help="symmetric cover search")
+    p = sgp_sub.add_parser("sym-cover", parents=[common], help="symmetric cover verdict and witness")
     p.add_argument("gens", nargs="+", type=_positive_int, metavar="GEN")
     p.add_argument("--mult", type=_positive_int, required=True,
                    help="required multiplicity of the cover (must equal the base's)")
@@ -314,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = delta_sub.add_parser("verify", parents=[common], help="flag uncovered triples up to a bound")
     p.add_argument("--bound", type=_positive_int, required=True)
     p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="process-parallel triple evaluation (default 1)")
+                   help="accepted and ignored: the census runs in one process (default 1)")
     p.set_defaults(handler=_cmd_delta_verify, render=_render_delta)
 
     hn_p = sub.add_parser("hn", help="Herzog-Northcott ideal data")

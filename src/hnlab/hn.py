@@ -34,7 +34,7 @@ from .errors import (
     InvariantViolation,
     NotImplementedRange,
 )
-from .oversemigroups import CoverQuery, symmetric_cover
+from .oversemigroups import has_symmetric_cover
 from .semigroup import NumericalSemigroup, from_generators
 
 Triple = tuple[int, int, int]
@@ -243,7 +243,7 @@ def theorem_verdict(h: HNIdeal, e: int) -> TheoremVerdict:
     hypothesis_ok = (
         s is not None
         and s.embedding_dimension == 3
-        and not symmetric_cover(CoverQuery(s, s.multiplicity)).covered
+        and not has_symmetric_cover(s)
     )
     if not hypothesis_ok:
         outcome = TheoremOutcome.HYPOTHESIS_NOT_SATISFIED

@@ -1,29 +1,24 @@
-"""Search for oversemigroups of prescribed multiplicity and symmetric covers.
+"""Symmetric covers and oversemigroups of prescribed multiplicity.
 
-Given a base semigroup T of multiplicity m, every oversemigroup U of the
-same multiplicity is T plus some subset of the gaps of T lying in
-[m, F(T)], subject to additive closure.  Candidate sets are carried as
-integer bitmasks over [0, F(T)] (everything above F(T) is a member), so
-closure checks are a handful of shifts on arbitrary-precision ints.
-
-The search is a depth-first walk adjoining gaps in increasing order.  At
-each node the set of *forced* positions (sums of two nonzero members that
-are not themselves members) is maintained incrementally; a branch that has
-skipped past its smallest forced position can never close up and is
-pruned.  Leaves with no forced positions are exactly the oversemigroups of
-multiplicity m, visited in lexicographic order of the adjoined gap list.
-
-The census certifies first and searches second.  A triple with m1 >= 5
-that lies in one of the four symmetric families of ``witness_families``
-(the paper's constructive proof) is covered, by exact membership; only
-the remaining triples, m1 in {3, 4} and any triple no family contains, go
-through the search.
+Sets are integer bitmasks over [0, F(T)] for a base T of multiplicity m
+(everything above F(T) is a member), so closures and mirror tests are a
+few shifts.  A symmetric cover is decided by a certificate (Rosales &
+Branco, Pacific J. Math. 209, 2003): for m >= 3, some symmetric U of
+multiplicity m contains T iff T has an odd gap F' >= 2m - 1.  Symmetry
+sends the gap m - 1 to a member F(U) - m + 1 >= m; conversely, from T plus
+(F', oo), adjoining the largest gap h whose mirror F' - h is a gap, while
+one exists, keeps F' and ends symmetric, and each h > F'/2 keeps m.  The
+witness, the first symmetric cover in lexicographic order of the adjoined
+gaps, is built greedily with an exact feasibility test per step.  The
+exhaustive gap-subset DFS is the oracle behind
+``oversemigroups_with_multiplicity``.  The census covers a triple with
+m1 >= 5 when one of the four ``witness_families`` (the paper's proof)
+contains it, and the criterion decides every other one.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import groupby
 from math import gcd
@@ -46,11 +41,12 @@ class CoverQuery:
 
 @dataclass(frozen=True)
 class CoverVerdict:
-    """Outcome of a symmetric cover search.
+    """Whether a symmetric cover exists, and the first one.
 
-    ``search_count`` is the witness's 1-based rank in the search order of
-    ``oversemigroups_with_multiplicity(base, m)``; when the base is
-    uncovered, it is the number of such oversemigroups.
+    ``covered`` is the odd-gap criterion; ``witness`` is the first
+    symmetric cover in the order of ``oversemigroups_with_multiplicity``,
+    built greedily.  ``search_count`` is the number of feasibility checks
+    the greedy made: 0 when the base is uncovered or itself symmetric.
     """
 
     covered: bool
@@ -102,23 +98,23 @@ def _iter_cover_masks(base: NumericalSemigroup) -> Iterator[int]:
             stack.append((child, 0, i + 1, len(window)))
 
 
-def _mask_frobenius(mask: int, upto: int) -> int:
-    inverted = ~mask & ((1 << (upto + 1)) - 1)
-    return inverted.bit_length() - 1 if inverted else -1
-
-
 def _mask_is_symmetric(mask: int, upto: int) -> bool:
-    frob = _mask_frobenius(mask, upto)
-    if frob < 0:
-        return True
-    genus = frob + 1 - (mask & ((1 << (frob + 1)) - 1)).bit_count()
-    return 2 * genus == frob + 1
+    gaps = ~mask & ((1 << (upto + 1)) - 1)
+    return 2 * gaps.bit_count() == gaps.bit_length()  # 2 * genus == F + 1
 
 
 def _semigroup_from_mask(mask: int, upto: int, mult: int) -> NumericalSemigroup:
-    gens = [x for x in range(mult, upto + 1) if mask >> x & 1]
-    gens.extend(range(upto + 1, upto + mult + 1))
-    return from_generators(gens)
+    """The semigroup of multiplicity ``mult`` with members ``mask`` in
+    [0, upto].  A nonzero Apéry element w is a minimal generator unless
+    w - v is a member for a smaller nonzero Apéry element v."""
+    bits = format(mask, "b")[::-1]  # bits[x] == "1" iff x <= upto is a member
+    apery = []
+    for r in range(mult):
+        k = bits[r::mult].find("1")
+        apery.append(r + k * mult if k >= 0 else upto + 1 + (r - upto - 1) % mult)
+    nz = sorted(w for w in apery if w)
+    gens = [w for i, w in enumerate(nz) if not any(w - v >= apery[(w - v) % mult] for v in nz[:i])]
+    return NumericalSemigroup((mult, *gens), tuple(apery))
 
 
 def _require_multiplicity(s: NumericalSemigroup, m: int) -> None:
@@ -131,33 +127,95 @@ def _require_multiplicity(s: NumericalSemigroup, m: int) -> None:
 def oversemigroups_with_multiplicity(
     s: NumericalSemigroup, m: int
 ) -> list[NumericalSemigroup]:
-    """The complete finite list of semigroups U containing s with
-    multiplicity(U) = m, including s itself.
-
-    Only m = multiplicity(s) is supported; anything else raises
-    UnsupportedMultiplicity.
-    """
+    """Every semigroup containing s with multiplicity m, s first, by the
+    exhaustive search.  Only m = multiplicity(s) is supported; anything else
+    raises UnsupportedMultiplicity."""
     _require_multiplicity(s, m)
-    if s.frobenius < 0:
-        return [s]
-    frob = s.frobenius
-    return [_semigroup_from_mask(mask, frob, m) for mask in _iter_cover_masks(s)]
+    return [_semigroup_from_mask(mask, s.frobenius, m) for mask in _iter_cover_masks(s)]
+
+
+def has_symmetric_cover(s: NumericalSemigroup) -> bool:
+    """Whether a symmetric semigroup of multiplicity m(s) contains s: for
+    m >= 3, iff s has an odd gap F' >= 2m - 1.  Class r holds the gaps r,
+    r + m, ..., apery[r] - m: its largest odd gap, if any, is one of the last two."""
+    m = s.multiplicity
+    if m < 3:
+        return True
+    tops = (a - m if (a - m) % 2 else a - 2 * m for a in s.apery)
+    return any(t % 2 and t >= 2 * m - 1 for t in tops)
+
+
+def _adjoin(mask: int, x: int, full: int) -> int:
+    """<S, x> for the semigroup S with members ``mask``: the union of the
+    kx + S, with strides x, 2x, 4x, ..."""
+    while x < full.bit_length():
+        mask |= (mask << x) & full
+        x <<= 1
+    return mask
+
+
+def _feasible(gaps: int, x: int, mult: int, frob: int, odd: int) -> bool:
+    """Whether some symmetric cover of multiplicity ``mult`` contains the
+    semigroup with gaps ``gaps`` and has exactly its gaps up to ``x``: iff
+    an odd gap F' >= 2*mult - 1 has no gap in (F', x] and no pair y, F' - y
+    of gaps up to x, for then the Rosales-Branco steps adjoin only gaps
+    above x.  The pair test is a shift and an AND on the mirrored gaps."""
+    low = gaps & ((2 << x) - 1)
+    floor = max(2 * mult - 1, low.bit_length() - 1)
+    cands = gaps & odd & ~((1 << floor) - 1)
+    if cands.bit_length() - 1 > 2 * x:  # no pair fits below x
+        return True
+    rev = int(format(low, f"0{frob + 1}b")[::-1], 2)  # bit frob - y iff y is a low gap
+    while cands:
+        f = cands.bit_length() - 1
+        if not low & (rev >> (frob - f)):
+            return True
+        cands ^= 1 << f
+    return False
+
+
+def _first_symmetric_cover(base: NumericalSemigroup) -> tuple[int, int]:
+    """Mask of the first symmetric cover of a covered base, in lexicographic
+    order of the adjoined gaps, and the number of feasibility checks.
+
+    ``chosen`` is the base plus the prefix and ``closed`` its closure.  Each
+    step adjoins the smallest feasible gap below the least forced element,
+    or else that element, until the prefix is closed and symmetric."""
+    m, frob = base.multiplicity, base.frobenius
+    full = (1 << (frob + 1)) - 1
+    chosen = closed = full ^ sum(1 << g for g in profile(base).gaps)
+    odd = int("10" * (frob + 2), 2) & full
+    start, checks = m, 0  # gaps below start are settled
+    while True:
+        forced = closed & ~chosen
+        if not forced and _mask_is_symmetric(closed, frob):
+            return closed, checks
+        limit = (forced & -forced).bit_length() - 1 if forced else frob + 1
+        cands = (full ^ closed) >> start << start & ((1 << limit) - 1)
+        while cands:
+            x = (cands & -cands).bit_length() - 1
+            cands ^= 1 << x
+            checks += 1
+            trial = _adjoin(closed, x, full)
+            if _feasible(full ^ trial, x, m, frob, odd):
+                chosen, closed, start = chosen | 1 << x, trial, x + 1
+                break
+        else:
+            if not forced:
+                raise InvariantViolation(f"no symmetric cover extends the prefix of {base}")
+            chosen, start = chosen | 1 << limit, limit + 1
 
 
 def symmetric_cover(q: CoverQuery) -> CoverVerdict:
-    """Decide whether some symmetric semigroup of multiplicity ``target_mult``
-    contains the base; stops at the first witness found by the ordered search."""
+    """Decide by the odd-gap criterion whether a symmetric semigroup of
+    multiplicity ``target_mult`` contains the base, and build the first one
+    in the order of ``oversemigroups_with_multiplicity``."""
     base = q.base
     _require_multiplicity(base, q.target_mult)
-    if base.frobenius < 0:
-        return CoverVerdict(True, base, 1)
-    frob = base.frobenius
-    count = 0
-    for mask in _iter_cover_masks(base):
-        count += 1
-        if _mask_is_symmetric(mask, frob):
-            return CoverVerdict(True, _semigroup_from_mask(mask, frob, base.multiplicity), count)
-    return CoverVerdict(False, None, count)
+    if not has_symmetric_cover(base):
+        return CoverVerdict(False, None, 0)
+    mask, checks = _first_symmetric_cover(base)
+    return CoverVerdict(True, _semigroup_from_mask(mask, base.frobenius, base.multiplicity), checks)
 
 
 def candidate_triples(bound: int) -> list[tuple[int, int, int]]:
@@ -182,44 +240,24 @@ def candidate_triples(bound: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def _triple_is_uncovered(triple: tuple[int, int, int]) -> bool:
-    base = from_generators(triple)
-    frob = base.frobenius
-    return not any(_mask_is_symmetric(mask, frob) for mask in _iter_cover_masks(base))
-
-
-def _uncertified(triples: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
-    """The triples, sorted by m1, that no witness family of their multiplicity
-    contains; every triple with m1 < 5 is kept.  Each m1's families are
-    built once."""
-    out = []
-    for m1, group in groupby(triples, key=lambda t: t[0]):
-        families = witness_families(m1) if m1 >= 5 else []
-        out.extend(t for t in group if not any(t[1] in s and t[2] in s for s in families))
-    return out
-
-
 def verify_delta(bound: int, jobs: int = 1) -> DeltaReport:
     """Flag every embedding-dimension-3 triple within ``bound`` that has no
     symmetric cover, and compare against the known four.
 
-    A triple that a witness family contains is covered by that family; every
-    other triple is decided by the exhaustive cover search.  ``jobs`` > 1
-    runs those searches in a process pool; each triple is independent and
-    the flagged list is sorted, so results do not depend on scheduling.
+    A triple that a witness family contains is covered by that family (each
+    m1's families are built once); the odd-gap criterion decides every other
+    one.  ``jobs`` is accepted and ignored: the census runs in one process.
     """
     if bound < 3:
         raise DomainError(f"bound must be at least 3, got {bound}")
     triples = candidate_triples(bound)
-    searched = _uncertified(triples)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            uncovered = list(pool.map(_triple_is_uncovered, searched, chunksize=16))
-    else:
-        uncovered = list(map(_triple_is_uncovered, searched))
-    flagged = [t for t, bad in zip(searched, uncovered) if bad]
+    uncertified = []
+    for m1, group in groupby(triples, key=lambda t: t[0]):
+        families = witness_families(m1) if m1 >= 5 else []
+        uncertified += (t for t in group if not any(t[1] in s and t[2] in s for s in families))
+    flagged = [t for t in uncertified if not has_symmetric_cover(from_generators(t))]
     expected = tuple(t for t in DELTA if t[2] <= bound)
-    return DeltaReport(bound, tuple(sorted(flagged)), expected, len(triples), len(searched))
+    return DeltaReport(bound, tuple(sorted(flagged)), expected, len(triples), len(uncertified))
 
 
 def witness_families(m1: int) -> list[NumericalSemigroup]:

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from hnlab import cli
+from hnlab import cli, oversemigroups
 from hnlab.cli import main
 
 
@@ -63,7 +63,7 @@ def test_analyze_parse_failure_exits_1(capsys):
 def test_sym_cover_known_values(capsys):
     code, payload = run_json(capsys, "sgp", "sym-cover", "3", "7", "8", "--mult", "3")
     assert code == 0
-    assert payload["result"] == {"covered": True, "witness": [3, 4], "search_count": 2}
+    assert payload["result"] == {"covered": True, "witness": [3, 4], "search_count": 1}
 
     code, payload = run_json(capsys, "sgp", "sym-cover", "4", "7", "9", "--mult", "4")
     assert code == 0
@@ -73,6 +73,21 @@ def test_sym_cover_known_values(capsys):
     code, payload = run_json(capsys, "sgp", "sym-cover", "4", "5", "6", "--mult", "4")
     assert payload["result"]["covered"] is True
     assert payload["result"]["witness"] == [4, 5, 6]
+
+
+def test_no_command_runs_the_exhaustive_search(capsys, monkeypatch):
+    def boom(base):
+        raise AssertionError("exhaustive cover search reached")
+
+    monkeypatch.setattr(oversemigroups, "_iter_cover_masks", boom)
+    for argv in (
+        ["sgp", "sym-cover", "25", "41", "49", "--mult", "25"],
+        ["sgp", "sym-cover", "4", "7", "9", "--mult", "4"],
+        ["delta", "verify", "--bound", "36"],
+        ["hn", "build", "--a", "1,1,1", "--b", "2,1,1", "--e", "1"],
+    ):
+        code, payload = run_json(capsys, *argv)
+        assert (code, payload["status"]) == (0, "ok"), argv
 
 
 def test_sym_cover_wrong_multiplicity_exits_2(capsys):

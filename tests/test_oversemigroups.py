@@ -1,11 +1,16 @@
-"""Oversemigroup enumeration against a brute-force subset oracle."""
+"""Oversemigroup enumeration against a brute-force subset oracle, and the
+symmetric-cover certificate against the exhaustive gap-subset search."""
 
 from __future__ import annotations
 
+import time
 from itertools import combinations
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from test_semigroup import POPULATION
 
 from hnlab import (
     CoverQuery,
@@ -15,12 +20,19 @@ from hnlab import (
     UnsupportedMultiplicity,
     candidate_triples,
     from_generators,
+    has_symmetric_cover,
     is_symmetric,
     oversemigroups_with_multiplicity,
     profile,
     symmetric_cover,
     verify_delta,
     witness_families,
+)
+from hnlab.oversemigroups import (
+    _feasible,
+    _iter_cover_masks,
+    _mask_is_symmetric,
+    _semigroup_from_mask,
 )
 
 # ── subset oracle ────────────────────────────────────────────────────────────
@@ -52,6 +64,16 @@ def oracle_oversemigroups(gens: list[int]) -> set[frozenset[int]]:
 
 def members_upto_frobenius(s, frob: int) -> frozenset[int]:
     return frozenset(x for x in range(frob + 1) if s.contains(x))
+
+
+def dfs_first_symmetric_cover(base):
+    """The exhaustive oracle: the first symmetric cover that the gap-subset
+    DFS meets, in the order of oversemigroups_with_multiplicity, or None."""
+    frob = base.frobenius
+    for mask in _iter_cover_masks(base):
+        if _mask_is_symmetric(mask, frob):
+            return _semigroup_from_mask(mask, frob, base.multiplicity)
+    return None
 
 
 ORACLE_BASES = [
@@ -91,6 +113,16 @@ def test_enumeration_known_values():
     assert oversemigroups_with_multiplicity(n, 1) == [n]
 
 
+def test_members_rebuild_like_from_generators():
+    # a listed oversemigroup is built from its mask; generating it from every
+    # member in [m, F + m] gives the same minimal system and Apéry set
+    for gens in ORACLE_BASES:
+        base = from_generators(gens)
+        m, frob = base.multiplicity, base.frobenius
+        for u in oversemigroups_with_multiplicity(base, m):
+            assert u == from_generators(x for x in range(m, frob + m + 1) if x in u), (gens, u)
+
+
 def test_enumeration_results_contain_base_and_keep_multiplicity():
     for gens in ORACLE_BASES[:40]:
         base = from_generators(gens)
@@ -116,21 +148,35 @@ def test_unsupported_multiplicity():
 def test_cover_known_values():
     v = symmetric_cover(CoverQuery(from_generators([3, 7, 8]), 3))
     assert v.covered and v.witness.minimal_gens == (3, 4)
-    assert v.search_count == 2  # the base itself, then the first adjunction
+    assert v.search_count == 1  # adjoining 4 is feasible and closes up symmetric
 
     v = symmetric_cover(CoverQuery(from_generators([3, 4, 5]), 3))
-    assert not v.covered and v.witness is None
+    assert not v.covered and v.witness is None and v.search_count == 0
 
     v = symmetric_cover(CoverQuery(from_generators([4, 5, 11]), 4))
     assert v.covered and v.witness.minimal_gens == (4, 5, 6)
 
     v = symmetric_cover(CoverQuery(from_generators([4, 5, 6]), 4))
-    assert v.covered and v.witness.minimal_gens == (4, 5, 6) and v.search_count == 1
+    assert v.covered and v.witness.minimal_gens == (4, 5, 6) and v.search_count == 0
 
-    # deep window: the search must not recurse once per adjoined gap
+    # deep window: one greedy step per adjoined gap, no recursion
     v = symmetric_cover(CoverQuery(from_generators([80, 81, 83]), 80))
     assert v.covered and v.witness.minimal_gens == tuple(range(80, 159))
-    assert v.search_count == 3
+    assert v.search_count == 77
+
+
+def test_cover_witnesses_beyond_the_search():
+    # <25,41,49>: the DFS witness, 32,643rd in search order; <40,67,79>: the
+    # DFS does not finish.  Each must take well under a second.
+    for gens, witness in (
+        ([25, 41, 49], (*range(25, 33), *range(41, 50))),
+        ([40, 67, 79], (*range(40, 53), *range(66, 80))),
+    ):
+        started = time.perf_counter()
+        v = symmetric_cover(CoverQuery(from_generators(gens), gens[0]))
+        elapsed = time.perf_counter() - started
+        assert v.covered and v.witness.minimal_gens == witness, gens
+        assert elapsed < 1.0, (gens, elapsed)
 
 
 def test_cover_verdict_is_consistent_with_enumeration():
@@ -144,14 +190,74 @@ def test_cover_verdict_is_consistent_with_enumeration():
             assert is_symmetric(verdict.witness)
             assert verdict.witness.multiplicity == base.multiplicity
             assert all(verdict.witness.contains(g) for g in base.minimal_gens)
-            # early exit: the witness is the first symmetric cover in search order
+            # the witness is the first symmetric cover in enumeration order
             assert verdict.witness == symmetric_ones[0]
-            # search_count is the witness's 1-based rank in that order
-            assert all_covers[verdict.search_count - 1] == verdict.witness
-            assert not any(is_symmetric(u) for u in all_covers[: verdict.search_count - 1])
+            rank = all_covers.index(verdict.witness)
+            assert not any(is_symmetric(u) for u in all_covers[:rank])
         else:
-            # uncovered: search_count is the number of oversemigroups
-            assert verdict.search_count == len(all_covers)
+            # uncovered: the criterion decides, and the greedy never runs
+            assert verdict.search_count == 0
+
+
+# Up to three generators almost every base is covered; four-generator bases
+# add uncovered ones that are not in DELTA.
+FOUR_GENERATORS = [list(c) for c in combinations(range(3, 25), 4) if gcd(*c) == 1]
+GATE_BASES = [
+    base
+    for base in dict.fromkeys(
+        from_generators(g) for g in ORACLE_BASES + POPULATION + FOUR_GENERATORS
+    )
+    if base.frobenius <= 70
+]
+
+
+def test_cover_gate_population_is_nontrivial():
+    assert len(GATE_BASES) > 2000
+    assert sum(not has_symmetric_cover(b) for b in GATE_BASES) > 10
+
+
+def test_cover_matches_the_exhaustive_search_up_to_frobenius_70():
+    for base in GATE_BASES:
+        verdict = symmetric_cover(CoverQuery(base, base.multiplicity))
+        oracle = dfs_first_symmetric_cover(base)
+        assert has_symmetric_cover(base) == verdict.covered == (oracle is not None), base
+        assert verdict.witness == oracle, base
+
+
+def test_feasibility_test_is_exact():
+    # _feasible(C, x) for x in C: some symmetric cover of C has exactly the
+    # gaps of C up to x, decided here by the exhaustive enumeration
+    for base in GATE_BASES:
+        m, frob = base.multiplicity, base.frobenius
+        if m < 3 or frob > 30:
+            continue
+        gaps = profile(base).gaps
+        mask = sum(1 << g for g in gaps)
+        odd = sum(1 << y for y in range(1, frob + 1, 2))
+        covers = [u for u in oversemigroups_with_multiplicity(base, m) if is_symmetric(u)]
+        for x in range(m, frob):
+            if x in base:
+                low = [g for g in gaps if g <= x]
+                expected = any([g for g in profile(u).gaps if g <= x] == low for u in covers)
+                assert _feasible(mask, x, m, frob, odd) == expected, (base, x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 200), st.lists(st.integers(1, 400), min_size=1, max_size=6))
+def test_cover_is_fast_up_to_frobenius_4000(m, offsets):
+    gens = [m, *(m + d for d in offsets)]
+    assume(gcd(*gens) == 1)
+    base = from_generators(gens)
+    assume(base.multiplicity == m and base.frobenius <= 4000)
+    started = time.perf_counter()
+    verdict = symmetric_cover(CoverQuery(base, m))
+    elapsed = time.perf_counter() - started
+    assert elapsed < 0.5, (gens, elapsed)  # about 10 ms at worst on a 2-vCPU Xeon guest
+    assert verdict.covered == has_symmetric_cover(base)
+    if verdict.covered:
+        w = verdict.witness
+        assert is_symmetric(w) and w.multiplicity == m
+        assert all(g in w for g in base.minimal_gens)
 
 
 def test_cover_monotone_in_inclusion():
@@ -209,9 +315,9 @@ def test_verify_delta_parallel_matches_serial():
 
 @pytest.fixture(scope="module")
 def covered_upto_30() -> dict[tuple[int, int, int], bool]:
-    """The exhaustive oracle: symmetric_cover on every candidate triple up to 30."""
+    """The exhaustive oracle: the gap-subset DFS on every candidate triple up to 30."""
     return {
-        t: symmetric_cover(CoverQuery(from_generators(t), t[0])).covered
+        t: dfs_first_symmetric_cover(from_generators(t)) is not None
         for t in candidate_triples(30)
     }
 
