@@ -54,13 +54,6 @@ class VerificationMismatch(InvariantViolation):
         self.result = result
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on usage errors by default; the contract wants 1.
-    def error(self, message: str) -> None:  # type: ignore[override]
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
 def _frobenius_cap() -> int:
     raw = os.environ.get("HNLAB_MAX_FROBENIUS")
     if raw is None:
@@ -136,11 +129,8 @@ def _cmd_sgp_analyze(args: argparse.Namespace) -> Result:
 def _cmd_sgp_sym_cover(args: argparse.Namespace) -> Result:
     s = _semigroup_from_cli(args.gens)
     verdict = symmetric_cover(CoverQuery(s, args.mult))
-    return {
-        "covered": verdict.covered,
-        "witness": list(verdict.witness.minimal_gens) if verdict.witness else None,
-        "search_count": verdict.search_count,
-    }
+    witness = list(verdict.witness.minimal_gens) if verdict.witness else None
+    return {**_plain(verdict), "witness": witness}
 
 
 def _cmd_delta_verify(args: argparse.Namespace) -> Result:
@@ -180,13 +170,9 @@ def _cmd_catalogue_check(args: argparse.Namespace) -> Result:
 
 
 def _cmd_cases(args: argparse.Namespace) -> Result:
-    return {
-        "e": args.e,
-        "cases": [
-            {"label": r.label, "components": _plain(r.components), "n_components": r.n_components}
-            for r in enumerate_cases(args.e)
-        ],
-    }
+    records = enumerate_cases(args.e)
+    cases = [{**_plain(r, omit=("e",)), "n_components": r.n_components} for r in records]
+    return {"e": args.e, "cases": cases}
 
 
 # ── text renderers: each reads only the ``result`` payload ─────────────────
@@ -210,25 +196,22 @@ def _fmt_components(components: list[list[int]]) -> str:
     return "+".join(f"{s}x{l}" for s, l in components)
 
 
-def _render_fields(r: Result) -> list[str]:
-    return [f"{key}: {_fmt(value)}" for key, value in r.items()]
+def _render_fields(r: Result, keys: Sequence[str] | None = None) -> list[str]:
+    """``key: value`` for each of ``keys`` (default: every key, in order)."""
+    return [f"{key}: {_fmt(r[key])}" for key in (r if keys is None else keys)]
 
 
 def _render_delta(r: Result) -> list[str]:
     def triples(ts: list[list[int]]) -> str:
         return "; ".join(",".join(map(str, t)) for t in ts) or "-"
 
-    return [
-        f"triples_examined: {r['triples_examined']}",
-        f"triples_searched: {r['triples_searched']}",
-        f"flagged: {triples(r['flagged'])}",
-        f"expected: {triples(r['expected'])}",
-        f"match: {_fmt(r['match'])}",
-    ]
+    shown = {**r, "flagged": triples(r["flagged"]), "expected": triples(r["expected"])}
+    keys = ("triples_examined", "triples_searched", "flagged", "expected", "match")
+    return _render_fields(shown, keys)
 
 
 def _render_hn_build(r: Result) -> list[str]:
-    lines = [f"{key}: {_fmt(r[key])}" for key in ("a", "b", "c", "m", "coprime")]
+    lines = _render_fields(r, ("a", "b", "c", "m", "coprime"))
     lines += [
         f"generator {name}: {g['text']}" for name, g in zip(("v1", "v2", "D"), r["generators"])
     ]
@@ -242,10 +225,7 @@ def _render_hn_build(r: Result) -> list[str]:
             for key in ("frobenius", "symmetric", "embedding_dimension")
         ]
     if r["verdict"] is not None:
-        lines += [
-            f"{key}: {_fmt(r['verdict'][key])}"
-            for key in ("hypothesis_ok", "outcome", "possible_cases")
-        ]
+        lines += _render_fields(r["verdict"], ("hypothesis_ok", "outcome", "possible_cases"))
     return lines
 
 
@@ -290,12 +270,12 @@ def _positive_int(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
+    common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("text", "json"), default="text",
         help="report format (default: text)",
     )
-    parser = _Parser(prog="hnlab", description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(prog="hnlab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="group", required=True)
 
     sgp = sub.add_parser("sgp", help="numerical semigroup invariants")
@@ -363,8 +343,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:  # usage errors and --help
-        return int(exc.code or 0)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_USAGE if exc.code else EXIT_OK
     params = vars(args)
     report: dict[str, Any] = {
         "schema": _SCHEMA,

@@ -67,12 +67,22 @@ class DeltaReport:
         return self.flagged == self.expected
 
 
+def _member_mask(s: NumericalSemigroup) -> int:
+    """Membership mask of s over [0, F(s)], filled class by class from the
+    Apéry set in O(F); 0 for <1>, whose range is empty."""
+    m, frob = s.multiplicity, s.frobenius
+    bits = bytearray(b"0" * (frob + 1))  # bits[x] is "1" iff x is a member
+    for a in s.apery:
+        bits[a::m] = b"1" * len(range(a, frob + 1, m))
+    return int(bits[::-1], 2) if bits else 0
+
+
 def _iter_cover_masks(base: NumericalSemigroup) -> Iterator[int]:
     """Yield membership masks over [0, F(base)] of every oversemigroup of the
     same multiplicity, in lexicographic order of the adjoined gap subsets."""
     gaps = profile(base).gaps
     full = (1 << (base.frobenius + 1)) - 1
-    base_mask = full ^ sum(1 << x for x in gaps)
+    base_mask = _member_mask(base)
     window = gaps[base.multiplicity - 1 :]  # the gaps below m are exactly 1..m-1
 
     # Preorder DFS on an explicit stack of (mask, forced, next index, end
@@ -183,7 +193,7 @@ def _first_symmetric_cover(base: NumericalSemigroup) -> tuple[int, int]:
     or else that element, until the prefix is closed and symmetric."""
     m, frob = base.multiplicity, base.frobenius
     full = (1 << (frob + 1)) - 1
-    chosen = closed = full ^ sum(1 << g for g in profile(base).gaps)
+    chosen = closed = _member_mask(base)
     odd = int("10" * (frob + 2), 2) & full
     start, checks = m, 0  # gaps below start are settled
     while True:
@@ -218,14 +228,14 @@ def symmetric_cover(q: CoverQuery) -> CoverVerdict:
     return CoverVerdict(True, _semigroup_from_mask(mask, base.frobenius, base.multiplicity), checks)
 
 
-def candidate_triples(bound: int) -> list[tuple[int, int, int]]:
-    """Triples 3 <= m1 < m2 < m3 <= bound with gcd 1 and embedding dimension
-    exactly 3 (m2 not a multiple of m1, m3 outside <m1, m2>).
+def candidate_triples(bound: int) -> Iterator[tuple[int, int, int]]:
+    """Yield, in lexicographic order, the triples 3 <= m1 < m2 < m3 <= bound
+    with gcd 1 and embedding dimension exactly 3 (m2 not a multiple of m1,
+    m3 outside <m1, m2>).
 
     When gcd(m1, m2) = 1, the least member of <m1, m2> congruent to m3 mod
     m1 is k*m2 with k = m3 * m2^-1 mod m1, an O(1) test.  Otherwise every
     m3 coprime to gcd(m1, m2) lies outside <m1, m2>."""
-    out = []
     for m1 in range(3, bound - 1):
         for m2 in range(m1 + 1, bound):
             if m2 % m1 == 0:
@@ -233,11 +243,10 @@ def candidate_triples(bound: int) -> list[tuple[int, int, int]]:
             m3s = range(m2 + 1, bound + 1)
             d = gcd(m1, m2)
             if d > 1:
-                out.extend((m1, m2, m3) for m3 in m3s if gcd(d, m3) == 1)
+                yield from ((m1, m2, m3) for m3 in m3s if gcd(d, m3) == 1)
             else:
                 inv = pow(m2, -1, m1)
-                out.extend((m1, m2, m3) for m3 in m3s if m3 * inv % m1 * m2 > m3)
-    return out
+                yield from ((m1, m2, m3) for m3 in m3s if m3 * inv % m1 * m2 > m3)
 
 
 def verify_delta(bound: int, jobs: int = 1) -> DeltaReport:
@@ -246,18 +255,23 @@ def verify_delta(bound: int, jobs: int = 1) -> DeltaReport:
 
     A triple that a witness family contains is covered by that family (each
     m1's families are built once); the odd-gap criterion decides every other
-    one.  ``jobs`` is accepted and ignored: the census runs in one process.
+    one.  The triples stream past one m1 group at a time and are only
+    counted.  ``jobs`` is accepted and ignored: the census runs in one process.
     """
     if bound < 3:
         raise DomainError(f"bound must be at least 3, got {bound}")
-    triples = candidate_triples(bound)
-    uncertified = []
-    for m1, group in groupby(triples, key=lambda t: t[0]):
+    examined = searched = 0
+    flagged = []
+    for m1, group in groupby(candidate_triples(bound), key=lambda t: t[0]):
         families = witness_families(m1) if m1 >= 5 else []
-        uncertified += (t for t in group if not any(t[1] in s and t[2] in s for s in families))
-    flagged = [t for t in uncertified if not has_symmetric_cover(from_generators(t))]
+        for t in group:
+            examined += 1
+            if not any(t[1] in s and t[2] in s for s in families):
+                searched += 1
+                if not has_symmetric_cover(from_generators(t)):
+                    flagged.append(t)
     expected = tuple(t for t in DELTA if t[2] <= bound)
-    return DeltaReport(bound, tuple(sorted(flagged)), expected, len(triples), len(uncertified))
+    return DeltaReport(bound, tuple(sorted(flagged)), expected, examined, searched)
 
 
 def witness_families(m1: int) -> list[NumericalSemigroup]:

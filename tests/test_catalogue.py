@@ -14,6 +14,7 @@ from hnlab import (
     ExponentPair,
     Factor,
     InconsistentRecord,
+    InvalidGenerator,
     NotInCatalogue,
     WeightAssignment,
     binomial_weight_vanishes,
@@ -129,6 +130,12 @@ def test_binomial_weight_vanishes_known_values():
 def test_binomial_weight_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         binomial_weight_vanishes(WeightAssignment((3, 4, 5, 4)), Binomial((3, 0, 0), (0, 1, 1)))
+    # unequal lengths, equal monomials, a negative exponent
+    for plus, minus in (((3, 0, 0), (0, 1)), ((1, 2, 0), (1, 2, 0)), ((3, 0, 0), (0, -1, 1))):
+        with pytest.raises(InvalidGenerator):
+            Binomial(plus, minus)
+    with pytest.raises(DomainError):
+        WeightAssignment((1, 0, 2))
 
 
 def test_generators_vanish_under_their_own_multipliers():

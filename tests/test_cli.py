@@ -17,6 +17,16 @@ def run(capsys, *argv):
     return code, out
 
 
+def assert_usage_error(capsys, *argv):
+    """Exit 1, nothing on stdout, argparse's usage line and error on stderr."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert (code, captured.out) == (1, ""), argv
+    assert err[0].startswith("usage: hnlab"), err
+    assert ": error: " in err[-1], err
+
+
 def run_json(capsys, *argv):
     code = main([*argv, "--format", "json"])
     out = capsys.readouterr().out
@@ -58,6 +68,7 @@ def test_analyze_non_cofinite_exits_2(capsys):
 
 def test_analyze_parse_failure_exits_1(capsys):
     assert main(["sgp", "analyze", "three"]) == 1
+    assert_usage_error(capsys, "delta", "verify", "--bound", "0")
 
 
 def test_sym_cover_known_values(capsys):
@@ -164,6 +175,7 @@ def test_hn_solve_out_of_range_exits_2(capsys):
 
 def test_hn_triple_parse_failure_exits_1(capsys):
     assert main(["hn", "solve", "--m", "4,7"]) == 1
+    assert_usage_error(capsys, "hn", "solve", "--m", "3,x,5")
 
 
 # ── catalogue and cases ──────────────────────────────────────────────────────
@@ -237,6 +249,11 @@ def test_frobenius_cap_env(capsys, monkeypatch):
     monkeypatch.setenv("HNLAB_MAX_FROBENIUS", "not-a-number")
     code, payload = run_json(capsys, "sgp", "analyze", "3", "4")
     assert code == 2
+
+    monkeypatch.setenv("HNLAB_MAX_FROBENIUS", "0")
+    code, payload = run_json(capsys, "sgp", "analyze", "3", "4")
+    assert code == 2
+    assert payload["error"]["message"] == "HNLAB_MAX_FROBENIUS must be positive, got 0"
 
 
 def test_default_cap_allows_moderate_inputs(capsys):

@@ -167,15 +167,18 @@ def test_cover_known_values():
 
 def test_cover_witnesses_beyond_the_search():
     # <25,41,49>: the DFS witness, 32,643rd in search order; <40,67,79>: the
-    # DFS does not finish.  Each must take well under a second.
-    for gens, witness in (
-        ([25, 41, 49], (*range(25, 33), *range(41, 50))),
-        ([40, 67, 79], (*range(40, 53), *range(66, 80))),
+    # DFS does not finish; <800,801> (F = 639,199) is symmetric, so it is its
+    # own witness with no feasibility check.  Each must take well under a second.
+    for gens, witness, checks in (
+        ([25, 41, 49], (*range(25, 33), *range(41, 50)), 23),
+        ([40, 67, 79], (*range(40, 53), *range(66, 80)), 38),
+        ([800, 801], (800, 801), 0),
     ):
         started = time.perf_counter()
         v = symmetric_cover(CoverQuery(from_generators(gens), gens[0]))
         elapsed = time.perf_counter() - started
         assert v.covered and v.witness.minimal_gens == witness, gens
+        assert v.search_count == checks, gens
         assert elapsed < 1.0, (gens, elapsed)
 
 
@@ -274,7 +277,7 @@ def test_cover_monotone_in_inclusion():
 
 
 def test_candidate_triples_filter():
-    triples = candidate_triples(30)
+    triples = list(candidate_triples(30))
     assert (3, 4, 5) in triples
     assert (3, 7, 8) in triples
     assert (3, 6, 9) not in triples  # gcd 3
@@ -338,7 +341,7 @@ def test_family_certificates_agree_with_the_search(covered_upto_30):
 
 def test_census_searches_only_multiplicities_3_and_4():
     report = verify_delta(60)
-    assert report.triples_examined == len(candidate_triples(60))
+    assert report.triples_examined == len(list(candidate_triples(60)))
     assert report.triples_searched == sum(1 for t in candidate_triples(60) if t[0] < 5)
 
 

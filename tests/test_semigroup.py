@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hnlab import (
     EmptyInput,
     FrobeniusCapExceeded,
+    InvalidGenerator,
     NonCofinite,
     NotMember,
     apery_set,
@@ -86,6 +87,9 @@ def test_construction_errors():
         from_generators([2, 4])
     with pytest.raises(EmptyInput):
         from_generators([])
+    for bad in (0, -2, True, 2.0):
+        with pytest.raises(InvalidGenerator):
+            from_generators([3, bad, 5])
 
 def test_from_generators_idempotent_on_population():
     for gens in POPULATION:
