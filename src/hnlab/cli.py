@@ -29,7 +29,7 @@ from typing import Any, Callable, Sequence
 from . import hn
 from .cases import enumerate_cases
 from .catalogue import example_spec, verify_example
-from .errors import DomainError, InvalidGenerator, InvariantViolation
+from .errors import DomainError, InvariantViolation
 from .oversemigroups import CoverQuery, symmetric_cover, verify_delta
 from .semigroup import NumericalSemigroup, from_generators, profile, traits
 
@@ -68,11 +68,7 @@ def _frobenius_cap() -> int:
 
 
 def _semigroup_from_cli(gens: Sequence[int]) -> NumericalSemigroup:
-    cap = _frobenius_cap()
-    for g in gens:
-        if g > cap:
-            raise InvalidGenerator(f"generator {g} exceeds the cap of {cap}")
-    return from_generators(gens, max_frobenius=cap)
+    return from_generators(gens, max_frobenius=_frobenius_cap())
 
 
 def _triple(text: str) -> tuple[int, int, int]:
@@ -282,12 +278,12 @@ def build_parser() -> argparse.ArgumentParser:
     sgp_sub = sgp.add_subparsers(dest="subcommand", required=True)
     p = sgp_sub.add_parser("analyze", parents=[common], help="full invariant report")
     p.add_argument("gens", nargs="+", type=_positive_int, metavar="GEN")
-    p.set_defaults(handler=_cmd_sgp_analyze, render=_render_fields)
+    p.set_defaults(handler="_cmd_sgp_analyze", render=_render_fields)
     p = sgp_sub.add_parser("sym-cover", parents=[common], help="symmetric cover verdict and witness")
     p.add_argument("gens", nargs="+", type=_positive_int, metavar="GEN")
     p.add_argument("--mult", type=_positive_int, required=True,
                    help="required multiplicity of the cover (must equal the base's)")
-    p.set_defaults(handler=_cmd_sgp_sym_cover, render=_render_fields)
+    p.set_defaults(handler="_cmd_sgp_sym_cover", render=_render_fields)
 
     delta = sub.add_parser("delta", help="uncovered-triple census")
     delta_sub = delta.add_subparsers(dest="subcommand", required=True)
@@ -295,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=_positive_int, required=True)
     p.add_argument("--jobs", type=_positive_int, default=1,
                    help="accepted and ignored: the census runs in one process (default 1)")
-    p.set_defaults(handler=_cmd_delta_verify, render=_render_delta)
+    p.set_defaults(handler="_cmd_delta_verify", render=_render_delta)
 
     hn_p = sub.add_parser("hn", help="Herzog-Northcott ideal data")
     hn_sub = hn_p.add_subparsers(dest="subcommand", required=True)
@@ -304,10 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=_triple, required=True, metavar="B1,B2,B3")
     p.add_argument("--e", type=int, default=None,
                    help="ambient multiplicity for the classification verdict")
-    p.set_defaults(handler=_cmd_hn_build, render=_render_hn_build)
+    p.set_defaults(handler="_cmd_hn_build", render=_render_hn_build)
     p = hn_sub.add_parser("solve", parents=[common], help="invert a multiplier triple to exponents")
     p.add_argument("--m", type=_triple, required=True, metavar="M1,M2,M3")
-    p.set_defaults(handler=_cmd_hn_solve, render=_render_hn_solve)
+    p.set_defaults(handler="_cmd_hn_solve", render=_render_hn_solve)
 
     cat_p = sub.add_parser("catalogue", help="worked decomposition examples")
     cat_sub = cat_p.add_subparsers(dest="subcommand", required=True)
@@ -315,13 +311,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", required=True)
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--m", type=_triple, required=True, metavar="M1,M2,M3")
-    p.set_defaults(handler=_cmd_catalogue_check, render=_render_catalogue_check)
+    p.set_defaults(handler="_cmd_catalogue_check", render=_render_catalogue_check)
 
     p = sub.add_parser("cases", parents=[common], help="decomposition shapes for a multiplicity")
     p.add_argument("--e", type=_positive_int, required=True)
-    p.set_defaults(handler=_cmd_cases, render=_render_cases)
+    p.set_defaults(handler="_cmd_cases", render=_render_cases)
     return parser
 
+
+_PARSER = build_parser()  # built once: leaves name their handler, looked up per call
 
 #: Namespace entries that select or shape the report rather than feed it.
 _NOT_INPUTS = frozenset({"group", "subcommand", "format", "handler", "render"})
@@ -340,9 +338,8 @@ def _text(report: dict[str, Any], render: Callable[[Result], list[str]]) -> str:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         return EXIT_USAGE if exc.code else EXIT_OK
     params = vars(args)
@@ -358,7 +355,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     started = time.perf_counter()
     result, error, exit_code = None, None, EXIT_OK
     try:
-        result = args.handler(args)
+        result = globals()[args.handler](args)
     except DomainError as exc:
         error, exit_code = exc, EXIT_DOMAIN
     except InvariantViolation as exc:

@@ -141,7 +141,7 @@ def build(e: ExponentPair, max_frobenius: int | None = None) -> HNIdeal:
     The determinantal and expanded forms of m are both computed and compared;
     a mismatch would be a bug, not bad input.  When gcd(m) != 1 the value
     semigroup is absent and the ideal carries ``coprime = False``.
-    ``max_frobenius`` bounds the value-semigroup enumeration.
+    ``max_frobenius`` caps the multipliers, then the value semigroup's Frobenius number.
     """
     (a1, a2, a3), (b1, b2, b3) = e.a, e.b
     c1, c2, c3 = e.c

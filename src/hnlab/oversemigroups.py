@@ -188,32 +188,28 @@ def _first_symmetric_cover(base: NumericalSemigroup) -> tuple[int, int]:
     """Mask of the first symmetric cover of a covered base, in lexicographic
     order of the adjoined gaps, and the number of feasibility checks.
 
-    ``chosen`` is the base plus the prefix and ``closed`` its closure.  Each
-    step adjoins the smallest feasible gap below the least forced element,
-    or else that element, until the prefix is closed and symmetric."""
+    One ascending walk over the gaps x of the closure ``closed`` from m: x
+    is adjoined when a cover stays feasible.  It stops at the first gap (or
+    F + 1) with ``closed`` symmetric and no non-base member at or above it:
+    as in the DFS, members below x are settled, so those are the forced
+    ones, and adjoining a forced member leaves ``closed`` unchanged."""
     m, frob = base.multiplicity, base.frobenius
     full = (1 << (frob + 1)) - 1
-    chosen = closed = _member_mask(base)
+    base_mask = closed = _member_mask(base)
     odd = int("10" * (frob + 2), 2) & full
-    start, checks = m, 0  # gaps below start are settled
+    x, checks = m, 0  # gaps below x are settled
     while True:
-        forced = closed & ~chosen
-        if not forced and _mask_is_symmetric(closed, frob):
+        gaps = (full ^ closed) >> x << x | full + 1  # bit F + 1 stands for "past F"
+        x = (gaps & -gaps).bit_length() - 1
+        if not (closed ^ base_mask) >> x and _mask_is_symmetric(closed, frob):
             return closed, checks
-        limit = (forced & -forced).bit_length() - 1 if forced else frob + 1
-        cands = (full ^ closed) >> start << start & ((1 << limit) - 1)
-        while cands:
-            x = (cands & -cands).bit_length() - 1
-            cands ^= 1 << x
-            checks += 1
-            trial = _adjoin(closed, x, full)
-            if _feasible(full ^ trial, x, m, frob, odd):
-                chosen, closed, start = chosen | 1 << x, trial, x + 1
-                break
-        else:
-            if not forced:
-                raise InvariantViolation(f"no symmetric cover extends the prefix of {base}")
-            chosen, start = chosen | 1 << limit, limit + 1
+        if x > frob:
+            raise InvariantViolation(f"no symmetric cover extends the prefix of {base}")
+        checks += 1
+        trial = _adjoin(closed, x, full)
+        if _feasible(full ^ trial, x, m, frob, odd):
+            closed = trial
+        x += 1
 
 
 def symmetric_cover(q: CoverQuery) -> CoverVerdict:

@@ -146,7 +146,8 @@ def from_generators(
     The minimal system of a numerical semigroup is unique, so this is
     idempotent: feeding back ``minimal_gens`` reproduces the same object.
     Raises EmptyInput on an empty list, InvalidGenerator on an entry that is
-    not a positive integer, and NonCofinite when gcd != 1.
+    not a positive integer or exceeds ``max_frobenius`` (before the Apéry
+    pass), and NonCofinite when gcd != 1.
     """
     raw = tuple(gens)
     if not raw:
@@ -154,6 +155,8 @@ def from_generators(
     for g in raw:
         if not isinstance(g, int) or isinstance(g, bool) or g < 1:
             raise InvalidGenerator(f"generator {g!r} is not a positive integer")
+        if max_frobenius is not None and g > max_frobenius:
+            raise InvalidGenerator(f"generator {g} exceeds the cap of {max_frobenius}")
     canon = tuple(sorted(set(raw)))
     if gcd(*canon) != 1:
         raise NonCofinite(

@@ -246,6 +246,12 @@ def test_frobenius_cap_env(capsys, monkeypatch):
     assert code == 2
     assert payload["error"]["code"] == "FrobeniusCapExceeded"
 
+    # hn build's multipliers (about 2.7e7 here) meet the same generator cap
+    monkeypatch.setenv("HNLAB_MAX_FROBENIUS", "1000000")
+    code, payload = run_json(capsys, "hn", "build", "--a", "3000,3000,3001", "--b", "3000,3007,3000")
+    assert code == 2
+    assert payload["error"]["code"] == "InvalidGenerator"
+
     monkeypatch.setenv("HNLAB_MAX_FROBENIUS", "not-a-number")
     code, payload = run_json(capsys, "sgp", "analyze", "3", "4")
     assert code == 2
@@ -325,6 +331,16 @@ def test_unexpected_exception_exits_3_with_one_report(capsys, monkeypatch):
     assert out.splitlines()[-3:] == [
         "error: RuntimeError", "error_message: handler bug", "status: error",
     ]
+
+
+def test_main_reuses_the_parser(capsys, monkeypatch):
+    def no_parser():
+        raise AssertionError("main rebuilt the parser")
+
+    monkeypatch.setattr(cli, "build_parser", no_parser)
+    code, out = run(capsys, "sgp", "analyze", "3", "4", "5")
+    assert code == 0
+    assert out.splitlines()[-1] == "status: ok"
 
 
 def test_base_exceptions_pass_through(monkeypatch):

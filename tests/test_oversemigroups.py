@@ -168,11 +168,14 @@ def test_cover_known_values():
 def test_cover_witnesses_beyond_the_search():
     # <25,41,49>: the DFS witness, 32,643rd in search order; <40,67,79>: the
     # DFS does not finish; <800,801> (F = 639,199) is symmetric, so it is its
-    # own witness with no feasibility check.  Each must take well under a second.
+    # own witness with no feasibility check; in <499,999,1499> (F = 372,752)
+    # the 498 adjoined gaps force about 185,500 more members.  Each must take
+    # well under a second.
     for gens, witness, checks in (
         ([25, 41, 49], (*range(25, 33), *range(41, 50)), 23),
         ([40, 67, 79], (*range(40, 53), *range(66, 80)), 38),
         ([800, 801], (800, 801), 0),
+        ([499, 999, 1499], tuple(range(499, 997)), 498),
     ):
         started = time.perf_counter()
         v = symmetric_cover(CoverQuery(from_generators(gens), gens[0]))

@@ -100,6 +100,9 @@ def test_from_generators_idempotent_on_population():
 def test_frobenius_cap():
     with pytest.raises(FrobeniusCapExceeded, match="Frobenius number 10199 exceeds the cap of 1000"):
         from_generators([101, 103], max_frobenius=1000)
+    # a generator above the cap is refused before the Apéry pass
+    with pytest.raises(InvalidGenerator, match="generator 5000 exceeds the cap of 1000"):
+        from_generators([3, 5000], max_frobenius=1000)
     # cap above the true Frobenius number F(<a,b>) = ab - a - b is fine
     assert from_generators([101, 103], max_frobenius=11_000).frobenius == 101 * 103 - 101 - 103
 
