@@ -2,12 +2,13 @@
 
 Every invocation emits exactly one report, as stable text (default) or as a
 single JSON object with schema version "v1".  Payloads are derived from
-the library's result dataclasses; the text report is a summary rendered
-only from the JSON ``result``.  Lists are sorted and nothing time-dependent
-enters the payload (elapsed time goes to stderr).  Exit codes: 0 ok, 1 usage
-or parse failure, 2 domain precondition violated, 3 verification mismatch or
-internal error (any other exception: its traceback goes to stderr, never a
-bare crash).
+the library's result dataclasses.  The text report shows every value of
+the JSON ``result``, one ``key: value`` line each: nested keys are joined
+with ``.`` and the items of a list of objects are numbered from 1.  Lists
+are sorted and nothing time-dependent enters the payload (elapsed time
+goes to stderr).  Exit codes: 0 ok, 1 usage or parse failure, 2 domain
+precondition violated, 3 verification mismatch or internal error (any
+other exception: its traceback goes to stderr, never a bare crash).
 
 The environment variable HNLAB_MAX_FROBENIUS (default 1000000) caps both
 the size of accepted generators and the Frobenius number of any semigroup
@@ -24,7 +25,7 @@ import sys
 import time
 import traceback
 from dataclasses import fields, is_dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from . import hn
 from .cases import enumerate_cases
@@ -171,85 +172,35 @@ def _cmd_cases(args: argparse.Namespace) -> Result:
     return {"e": args.e, "cases": cases}
 
 
-# ── text renderers: each reads only the ``result`` payload ─────────────────
+# ── text rendering: one line per value of the ``result`` payload ─────────
 
 
 def _fmt(value: Any) -> str:
-    """One payload value as text: lists space-joined, bools as true/false,
-    None as '-'."""
+    """One payload value as text: a list space-joined (a list of lists
+    comma-joined per item, "; " between items), bools as true/false, None
+    as '-'."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, list):
+        if value and isinstance(value[0], list):
+            return "; ".join(",".join(map(str, item)) for item in value)
         return " ".join(map(str, value))
     return "-" if value is None else str(value)
 
 
-def _pass_fail(ok: bool) -> str:
-    return "pass" if ok else "FAIL"
-
-
-def _fmt_components(components: list[list[int]]) -> str:
-    return "+".join(f"{s}x{l}" for s, l in components)
-
-
-def _render_fields(r: Result, keys: Sequence[str] | None = None) -> list[str]:
-    """``key: value`` for each of ``keys`` (default: every key, in order)."""
-    return [f"{key}: {_fmt(r[key])}" for key in (r if keys is None else keys)]
-
-
-def _render_delta(r: Result) -> list[str]:
-    def triples(ts: list[list[int]]) -> str:
-        return "; ".join(",".join(map(str, t)) for t in ts) or "-"
-
-    shown = {**r, "flagged": triples(r["flagged"]), "expected": triples(r["expected"])}
-    keys = ("triples_examined", "triples_searched", "flagged", "expected", "match")
-    return _render_fields(shown, keys)
-
-
-def _render_hn_build(r: Result) -> list[str]:
-    lines = _render_fields(r, ("a", "b", "c", "m", "coprime"))
-    lines += [
-        f"generator {name}: {g['text']}" for name, g in zip(("v1", "v2", "D"), r["generators"])
-    ]
-    sg = r["value_semigroup"]
-    if sg is None:
-        lines.append("value_semigroup: - (gcd of m is not 1)")
-    else:
-        lines.append(f"value_semigroup: {_fmt(sg['minimal_gens'])}")
-        lines += [
-            f"value_semigroup {key}: {_fmt(sg[key])}"
-            for key in ("frobenius", "symmetric", "embedding_dimension")
-        ]
-    if r["verdict"] is not None:
-        lines += _render_fields(r["verdict"], ("hypothesis_ok", "outcome", "possible_cases"))
+def _render(payload: Result, prefix: str = "") -> list[str]:
+    """``key: value`` for every value of ``payload``, in payload order.  A
+    nested object extends the key with ``.``, and so does a list of
+    objects, numbering its items from 1."""
+    lines = []
+    for key, value in payload.items():
+        if isinstance(value, list) and value and isinstance(value[0], dict):
+            value = dict(enumerate(value, 1))
+        if isinstance(value, dict):
+            lines += _render(value, f"{prefix}{key}.")
+        else:
+            lines.append(f"{prefix}{key}: {_fmt(value)}")
     return lines
-
-
-def _render_hn_solve(r: Result) -> list[str]:
-    return [
-        f"solution {i}: a={_fmt(p['a'])} b={_fmt(p['b'])}"
-        for i, p in enumerate(r["solutions"], 1)
-    ] or ["solutions: none"]
-
-
-def _render_catalogue_check(r: Result) -> list[str]:
-    lines = [
-        f"check {c['subject']}: {'skipped' if c['passed'] is None else _pass_fail(c['passed'])}"
-        for c in r["weight_checks"]
-    ]
-    predicted = r["predicted"]
-    return lines + [
-        f"gcd tuple: {_fmt(r['gcd_tuple'])} -> {_pass_fail(r['gcd_ok'])}",
-        f"predicted: {predicted['label']} components {_fmt_components(predicted['components'])}",
-        f"caveat: {r['caveat'] or '-'}",
-        f"verdict: {_pass_fail(r['verdict'])}",
-    ]
-
-
-def _render_cases(r: Result) -> list[str]:
-    return [
-        f"case {c['label']}: components {_fmt_components(c['components'])}" for c in r["cases"]
-    ] + [f"count: {len(r['cases'])}"]
 
 
 # ── parser wiring and entry point ──────────────────────────────────────────
@@ -278,12 +229,12 @@ def build_parser() -> argparse.ArgumentParser:
     sgp_sub = sgp.add_subparsers(dest="subcommand", required=True)
     p = sgp_sub.add_parser("analyze", parents=[common], help="full invariant report")
     p.add_argument("gens", nargs="+", type=_positive_int, metavar="GEN")
-    p.set_defaults(handler="_cmd_sgp_analyze", render=_render_fields)
+    p.set_defaults(handler="_cmd_sgp_analyze")
     p = sgp_sub.add_parser("sym-cover", parents=[common], help="symmetric cover verdict and witness")
     p.add_argument("gens", nargs="+", type=_positive_int, metavar="GEN")
     p.add_argument("--mult", type=_positive_int, required=True,
                    help="required multiplicity of the cover (must equal the base's)")
-    p.set_defaults(handler="_cmd_sgp_sym_cover", render=_render_fields)
+    p.set_defaults(handler="_cmd_sgp_sym_cover")
 
     delta = sub.add_parser("delta", help="uncovered-triple census")
     delta_sub = delta.add_subparsers(dest="subcommand", required=True)
@@ -291,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=_positive_int, required=True)
     p.add_argument("--jobs", type=_positive_int, default=1,
                    help="accepted and ignored: the census runs in one process (default 1)")
-    p.set_defaults(handler="_cmd_delta_verify", render=_render_delta)
+    p.set_defaults(handler="_cmd_delta_verify")
 
     hn_p = sub.add_parser("hn", help="Herzog-Northcott ideal data")
     hn_sub = hn_p.add_subparsers(dest="subcommand", required=True)
@@ -300,10 +251,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=_triple, required=True, metavar="B1,B2,B3")
     p.add_argument("--e", type=int, default=None,
                    help="ambient multiplicity for the classification verdict")
-    p.set_defaults(handler="_cmd_hn_build", render=_render_hn_build)
+    p.set_defaults(handler="_cmd_hn_build")
     p = hn_sub.add_parser("solve", parents=[common], help="invert a multiplier triple to exponents")
     p.add_argument("--m", type=_triple, required=True, metavar="M1,M2,M3")
-    p.set_defaults(handler="_cmd_hn_solve", render=_render_hn_solve)
+    p.set_defaults(handler="_cmd_hn_solve")
 
     cat_p = sub.add_parser("catalogue", help="worked decomposition examples")
     cat_sub = cat_p.add_subparsers(dest="subcommand", required=True)
@@ -311,25 +262,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", required=True)
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--m", type=_triple, required=True, metavar="M1,M2,M3")
-    p.set_defaults(handler="_cmd_catalogue_check", render=_render_catalogue_check)
+    p.set_defaults(handler="_cmd_catalogue_check")
 
     p = sub.add_parser("cases", parents=[common], help="decomposition shapes for a multiplicity")
     p.add_argument("--e", type=_positive_int, required=True)
-    p.set_defaults(handler="_cmd_cases", render=_render_cases)
+    p.set_defaults(handler="_cmd_cases")
     return parser
 
 
 _PARSER = build_parser()  # built once: leaves name their handler, looked up per call
 
 #: Namespace entries that select or shape the report rather than feed it.
-_NOT_INPUTS = frozenset({"group", "subcommand", "format", "handler", "render"})
+_NOT_INPUTS = frozenset({"group", "subcommand", "format", "handler"})
 
 
-def _text(report: dict[str, Any], render: Callable[[Result], list[str]]) -> str:
-    lines = [f"command: {report['command']}"]
-    lines += [f"input {key}: {_fmt(value)}" for key, value in report["inputs"].items()]
-    if "result" in report:
-        lines += render(report["result"])
+def _text(report: dict[str, Any]) -> str:
+    lines = [f"command: {report['command']}", *_render(report["inputs"], "input ")]
+    lines += _render(report.get("result", {}))
     if "error" in report:
         error = report["error"]
         lines += [f"error: {error['code']}", f"error_message: {error['message']}"]
@@ -372,7 +321,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.format == "json":
         print(json.dumps(report, sort_keys=True))
     else:
-        print(_text(report, args.render))
+        print(_text(report))
     print(f"runtime: {time.perf_counter() - started:.3f}s", file=sys.stderr)
     return exit_code
 

@@ -268,16 +268,6 @@ def test_default_cap_allows_moderate_inputs(capsys):
     assert payload["result"]["frobenius"] == 101 * 103 - 101 - 103
 
 
-def test_text_and_json_values_agree_on_delta(capsys):
-    code, payload = run_json(capsys, "delta", "verify", "--bound", "9")
-    code2, out = run(capsys, "delta", "verify", "--bound", "9")
-    assert code == code2 == 0
-    assert f"triples_examined: {payload['result']['triples_examined']}" in out
-    assert f"triples_searched: {payload['result']['triples_searched']}" in out
-    for triple in payload["result"]["flagged"]:
-        assert ",".join(map(str, triple)) in out
-
-
 def test_mismatch_exit_code_mapping(capsys, monkeypatch):
     # Exit 3 through main: a census whose flagged set is wrong, and a
     # catalogue example whose checks fail.  Both keep the partial result.
@@ -291,7 +281,7 @@ def test_mismatch_exit_code_mapping(capsys, monkeypatch):
     for argv, key, result_line in (
         (["delta", "verify", "--bound", "9"], "match", "match: false"),
         (["catalogue", "check", "--id", "caseb2c2", "--n", "3", "--m", "3,4,5"],
-         "verdict", "verdict: FAIL"),
+         "verdict", "verdict: false"),
     ):
         code, payload = run_json(capsys, *argv)
         assert code == 3
