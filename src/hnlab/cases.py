@@ -4,12 +4,15 @@ The ambient multiplicity e splits across the minimal primes p of the ideal
 as e = sum over components of sigma_p * l_p, where sigma_p is the
 multiplicity factor of the component and l_p its local length; each
 component contributes a quotient of multiplicity m1 * sigma_p.  A
-:class:`CaseRecord` is one multiset of (sigma, length) pairs with that sum.
+:class:`CaseRecord` is one multiset of (sigma, length) pairs with that sum;
+each e's records are built and checked once, on first use, then shared.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from typing import Iterator
 
 from .errors import DomainError, InconsistentRecord, InvariantViolation
 
@@ -42,7 +45,9 @@ class ConsistencyReport:
     ok: bool
 
 
-_PAPER_CASES: dict[int, tuple[tuple[str, tuple[tuple[int, int], ...]], ...]] = {
+_Pairs = tuple[tuple[int, int], ...]
+
+_PAPER_CASES: dict[int, tuple[tuple[str, _Pairs], ...]] = {
     1: (("(a)", ((1, 1),)),),
     2: (
         ("(b.1)", ((2, 1),)),
@@ -59,49 +64,42 @@ _PAPER_CASES: dict[int, tuple[tuple[str, tuple[tuple[int, int], ...]], ...]] = {
 }
 
 
-def _component_multisets(e: int) -> list[tuple[tuple[int, int], ...]]:
-    """All multisets of (sigma, length) pairs with sum sigma*length = e,
-    each returned as a non-increasing tuple of pairs."""
-    pairs = sorted(
-        ((s, l) for s in range(1, e + 1) for l in range(1, e + 1) if s * l <= e),
-        reverse=True,
-    )
-    out: list[tuple[tuple[int, int], ...]] = []
-
-    def extend(remaining: int, start: int, acc: list[tuple[int, int]]) -> None:
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        for i in range(start, len(pairs)):
-            s, l = pairs[i]
-            if s * l <= remaining:
-                acc.append((s, l))
-                extend(remaining - s * l, i, acc)
-                acc.pop()
-
-    extend(e, 0, [])
-    return out
+def _multisets(total: int, pairs: _Pairs) -> Iterator[_Pairs]:
+    """Multisets of ``pairs`` (given in non-increasing order) with sum
+    sigma*length = total, each yielded as a non-increasing tuple."""
+    if total == 0:
+        yield ()
+    for i, (s, l) in enumerate(pairs):
+        if s * l <= total:
+            for rest in _multisets(total - s * l, pairs[i:]):
+                yield ((s, l), *rest)
 
 
-def enumerate_cases(e: int) -> list[CaseRecord]:
+@cache
+def _cases(e: int) -> tuple[CaseRecord, ...]:
+    """The labeled shapes for one e in [1, 6], built and checked once."""
+    pairs = sorted(((s, l) for s in range(1, e + 1) for l in range(1, e // s + 1)), reverse=True)
+    generated = set(_multisets(e, tuple(pairs)))
+    table = _PAPER_CASES.get(e)
+    if table is None:
+        ordered = sorted(generated, key=lambda ms: (len(ms), ms))
+        table = tuple((f"(e={e}, #{i})", comps) for i, comps in enumerate(ordered, 1))
+    elif generated != {comps for _, comps in table}:
+        raise InvariantViolation(f"case generator disagrees with the e={e} table")
+    return tuple(CaseRecord(e, comps, label) for label, comps in table)
+
+
+def enumerate_cases(e: int) -> tuple[CaseRecord, ...]:
     """All decomposition shapes for ambient multiplicity e, labeled.
 
     For e <= 3 the labels and order are the classical (a), (b.1)-(b.3),
     (c.1)-(c.5).  For e in [4, 6] the enumeration is mechanical and the
-    labels are systematic, "(e=4, #1)" and so on.
+    labels are systematic, "(e=4, #1)" and so on.  Built and checked once
+    per e: every call returns the same tuple of frozen records.
     """
     if not 1 <= e <= 6:
         raise DomainError(f"case enumeration covers e in [1, 6], got {e}")
-    generated = set(_component_multisets(e))
-    if e in _PAPER_CASES:
-        table = _PAPER_CASES[e]
-        if generated != {comps for _, comps in table}:
-            raise InvariantViolation(f"case generator disagrees with the e={e} table")
-        return [CaseRecord(e, comps, label) for label, comps in table]
-    ordered = sorted(generated, key=lambda ms: (len(ms), ms))
-    return [
-        CaseRecord(e, comps, f"(e={e}, #{i})") for i, comps in enumerate(ordered, 1)
-    ]
+    return _cases(e)
 
 
 def check_consistency(r: CaseRecord, m1: int) -> ConsistencyReport:

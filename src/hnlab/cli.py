@@ -191,7 +191,7 @@ def _fmt(value: Any) -> str:
 def _render(payload: Result, prefix: str = "") -> list[str]:
     """``key: value`` for every value of ``payload``, in payload order.  A
     nested object extends the key with ``.``, and so does a list of
-    objects, numbering its items from 1."""
+    objects, numbering its items from 1.  An empty value leaves ``key:``."""
     lines = []
     for key, value in payload.items():
         if isinstance(value, list) and value and isinstance(value[0], dict):
@@ -199,7 +199,8 @@ def _render(payload: Result, prefix: str = "") -> list[str]:
         if isinstance(value, dict):
             lines += _render(value, f"{prefix}{key}.")
         else:
-            lines.append(f"{prefix}{key}: {_fmt(value)}")
+            text = _fmt(value)
+            lines.append(f"{prefix}{key}: {text}" if text else f"{prefix}{key}:")
     return lines
 
 

@@ -15,6 +15,7 @@ from hnlab import (
     Factor,
     InconsistentRecord,
     InvalidGenerator,
+    InvariantViolation,
     NotInCatalogue,
     WeightAssignment,
     binomial_weight_vanishes,
@@ -23,8 +24,10 @@ from hnlab import (
     check_consistency,
     enumerate_cases,
     example_spec,
+    theorem_verdict,
     verify_example,
 )
+from hnlab import cases
 from hnlab.catalogue import ExampleSpec
 
 # ── taxonomy oracle: independent enumeration of (sigma, length) multisets ────
@@ -81,6 +84,34 @@ def test_enumerate_cases_range():
         enumerate_cases(0)
     with pytest.raises(DomainError):
         enumerate_cases(7)
+
+
+def test_a_broken_paper_table_still_fails_the_check(monkeypatch):
+    monkeypatch.setitem(cases._PAPER_CASES, 2, (("(b.1)", ((2, 1),)), ("(b.2)", ((1, 2),))))
+    cases._cases.cache_clear()
+    with pytest.raises(InvariantViolation, match="e=2 table"):
+        enumerate_cases(2)
+
+
+def test_case_table_is_built_once_per_e(monkeypatch):
+    calls = 0
+    generate = cases._multisets
+
+    def counting(total, pairs):
+        nonlocal calls
+        calls += 1
+        return generate(total, pairs)
+
+    monkeypatch.setattr(cases, "_multisets", counting)
+    for e in (1, 2, 3):
+        cases._cases.__wrapped__(e)
+    one_build_each, calls = calls, 0
+    cases._cases.cache_clear()
+    ideal = build(ExponentPair((1, 1, 1), (2, 1, 1)))
+    for i in range(1000):
+        theorem_verdict(ideal, i % 3 + 1)
+    assert one_build_each > 0 and calls == one_build_each
+    assert isinstance(enumerate_cases(3), tuple) and enumerate_cases(3) is enumerate_cases(3)
 
 
 def test_case_records_satisfy_the_sum_rule():

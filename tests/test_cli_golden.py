@@ -95,8 +95,16 @@ def test_text_result_lines_flatten_the_json_result(text):
     lines = text["stdout"].splitlines()
     envelope_tail = 3 if "error" in report else 1
     shown = lines[1 + len(report["inputs"]): len(lines) - envelope_tail]
-    expected = [f"{'.'.join(map(str, path))}: {_shown(v)}" for path, v in _leaves(report["result"])]
+    leaves = ((".".join(map(str, path)), _shown(v)) for path, v in _leaves(report["result"]))
+    expected = [f"{key}: {value}" if value else f"{key}:" for key, value in leaves]
     assert sorted(shown) == sorted(expected)
+
+
+@pytest.mark.parametrize(
+    "text", _TEXT_TRANSCRIPTS, ids=[" ".join(e["argv"]) for e in _TEXT_TRANSCRIPTS]
+)
+def test_no_text_line_ends_in_whitespace(text):
+    assert [line for line in text["stdout"].splitlines() if line != line.rstrip()] == []
 
 
 def test_readme_examples_match_the_cli(capsys, monkeypatch):
