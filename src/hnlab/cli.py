@@ -8,7 +8,8 @@ with ``.`` and the items of a list of objects are numbered from 1.  Lists
 are sorted and nothing time-dependent enters the payload (elapsed time
 goes to stderr).  Exit codes: 0 ok, 1 usage or parse failure, 2 domain
 precondition violated, 3 verification mismatch or internal error (any
-other exception: its traceback goes to stderr, never a bare crash).
+other exception: its traceback goes to stderr, never a bare crash).  A
+reader that closes stdout early (``| head``) leaves the exit code as is.
 
 The environment variable HNLAB_MAX_FROBENIUS (default 1000000) caps both
 the size of accepted generators and the Frobenius number of any semigroup
@@ -319,10 +320,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         report["error"] = {"code": type(error).__name__, "message": str(error)}
     if result is not None:
         report["result"] = result
-    if args.format == "json":
-        print(json.dumps(report, sort_keys=True))
-    else:
-        print(_text(report))
+    try:
+        print(json.dumps(report, sort_keys=True) if args.format == "json" else _text(report))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (`| head`).  As the Python docs' note on
+        # SIGPIPE advises, point stdout at devnull so that the flush at
+        # interpreter exit fails silently too; the exit code stays the report's.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     print(f"runtime: {time.perf_counter() - started:.3f}s", file=sys.stderr)
     return exit_code
 

@@ -11,21 +11,25 @@ one exists, keeps F' and ends symmetric, and each h > F'/2 keeps m.  The
 witness, the first symmetric cover in lexicographic order of the adjoined
 gaps, is built greedily with an exact feasibility test per step.  The
 exhaustive gap-subset DFS is the oracle behind
-``oversemigroups_with_multiplicity``.  The census covers a triple with
-m1 >= 5 when one of the four ``witness_families`` (the paper's proof)
-contains it, and the criterion decides every other one.
+``oversemigroups_with_multiplicity``.
+
+The census counts the embedding-dimension-3 triples pair by pair (m1, m2)
+instead of listing them, and decides by the criterion only the triples no
+witness family contains.  For m1 >= 5 those are found by a pigeonhole on
+the gaps of the four ``witness_families`` (the paper's proof), built as
+masks and checked symmetric on every call; for m1 in {3, 4} every triple
+is decided.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import groupby
 from math import gcd
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import DomainError, InvariantViolation, UnsupportedMultiplicity
-from .semigroup import NumericalSemigroup, from_generators, is_symmetric, profile
+from .semigroup import NumericalSemigroup, from_generators, profile
 
 #: The four triples not contained in any symmetric semigroup of equal multiplicity.
 DELTA: tuple[tuple[int, int, int], ...] = ((3, 4, 5), (3, 5, 7), (4, 5, 7), (4, 7, 9))
@@ -56,6 +60,10 @@ class CoverVerdict:
 
 @dataclass(frozen=True)
 class DeltaReport:
+    """The census up to ``bound``: ``triples_examined`` embedding-dimension-3
+    triples, of which ``triples_searched`` lie in no witness family and were
+    decided by the criterion; ``flagged`` are the uncovered ones."""
+
     bound: int
     flagged: tuple[tuple[int, int, int], ...]
     expected: tuple[tuple[int, int, int], ...]
@@ -116,14 +124,20 @@ def _mask_is_symmetric(mask: int, upto: int) -> bool:
 def _semigroup_from_mask(mask: int, upto: int, mult: int) -> NumericalSemigroup:
     """The semigroup of multiplicity ``mult`` with members ``mask`` in
     [0, upto].  A nonzero Apéry element w is a minimal generator unless
-    w - v is a member for a smaller nonzero Apéry element v."""
+    w - v is a nonzero member for a nonzero Apéry element v, so the others
+    are the bits of the nonzero members shifted by each such v."""
     bits = format(mask, "b")[::-1]  # bits[x] == "1" iff x <= upto is a member
     apery = []
     for r in range(mult):
         k = bits[r::mult].find("1")
         apery.append(r + k * mult if k >= 0 else upto + 1 + (r - upto - 1) % mult)
-    nz = sorted(w for w in apery if w)
-    gens = [w for i, w in enumerate(nz) if not any(w - v >= apery[(w - v) % mult] for v in nz[:i])]
+    top = max(apery)
+    nonzero = (mask | -(1 << (upto + 1))) & ((2 << top) - 2)  # the members in [1, top]
+    sums = 0
+    for v in apery:
+        if v:
+            sums |= nonzero << v
+    gens = [w for w in sorted(apery) if w and not sums >> w & 1]
     return NumericalSemigroup((mult, *gens), tuple(apery))
 
 
@@ -224,56 +238,160 @@ def symmetric_cover(q: CoverQuery) -> CoverVerdict:
     return CoverVerdict(True, _semigroup_from_mask(mask, base.frobenius, base.multiplicity), checks)
 
 
-def candidate_triples(bound: int) -> Iterator[tuple[int, int, int]]:
-    """Yield, in lexicographic order, the triples 3 <= m1 < m2 < m3 <= bound
-    with gcd 1 and embedding dimension exactly 3 (m2 not a multiple of m1,
-    m3 outside <m1, m2>).
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _outside(m1: int, m2: int) -> Callable[[int], bool]:
+    """For m1 < m2 with m2 not a multiple of m1, the test on m3 > m2 of
+    whether (m1, m2, m3) has gcd 1 and m3 lies outside <m1, m2>.
 
     When gcd(m1, m2) = 1, the least member of <m1, m2> congruent to m3 mod
     m1 is k*m2 with k = m3 * m2^-1 mod m1, an O(1) test.  Otherwise every
     m3 coprime to gcd(m1, m2) lies outside <m1, m2>."""
+    d = gcd(m1, m2)
+    if d > 1:
+        return lambda m3: gcd(d, m3) == 1
+    inv = pow(m2, -1, m1)
+    return lambda m3: m3 * inv % m1 * m2 > m3
+
+
+def _triples_with_multiplicity(m1: int, bound: int) -> Iterator[tuple[int, int, int]]:
+    """The triples of ``candidate_triples(bound)`` with first entry m1, in order."""
+    for m2 in range(m1 + 1, bound):
+        if m2 % m1:
+            outside = _outside(m1, m2)
+            yield from ((m1, m2, m3) for m3 in range(m2 + 1, bound + 1) if outside(m3))
+
+
+def candidate_triples(bound: int) -> Iterator[tuple[int, int, int]]:
+    """Yield, in lexicographic order, the triples 3 <= m1 < m2 < m3 <= bound
+    with gcd 1 and embedding dimension exactly 3 (m2 not a multiple of m1,
+    m3 outside <m1, m2>)."""
     for m1 in range(3, bound - 1):
+        yield from _triples_with_multiplicity(m1, bound)
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, by trial division."""
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return primes + [n] if n > 1 else primes
+
+
+def _count_coprime(primes: list[int], lo: int, hi: int) -> int:
+    """The integers in (lo, hi] divisible by none of the distinct ``primes``,
+    by inclusion-exclusion over their products."""
+    terms = [(1, 1)]
+    for p in primes:
+        terms += [(e * p, -sign) for e, sign in terms]
+    return sum(sign * (hi // e - lo // e) for e, sign in terms)
+
+
+def _count_members(m1: int, m2: int, lo: int, hi: int) -> int:
+    """The members of <m1, m2>, gcd(m1, m2) = 1, in (lo, hi] for 0 <= hi and
+    lo <= hi.  Each member has exactly one form i*m1 + j*m2 with i >= 0 and
+    0 <= j < m1 (Rosales & García-Sánchez, Numerical Semigroups, ch. 2), so
+    for each j the i form one run."""
+    return sum(
+        (hi - j * m2) // m1 - max((lo - j * m2) // m1, -1)
+        for j in range(min(m1 - 1, hi // m2) + 1)
+    )
+
+
+def _count_triples(bound: int) -> int:
+    """The number of triples ``candidate_triples(bound)`` yields, counted per
+    pair (m1, m2): the m3 in (m2, bound] coprime to gcd(m1, m2) when it
+    exceeds 1, else those outside <m1, m2>.  The primes of the gcd are the
+    primes of m1 that divide m2."""
+    total = 0
+    for m1 in range(3, bound - 1):
+        primes = _prime_factors(m1)
         for m2 in range(m1 + 1, bound):
-            if m2 % m1 == 0:
-                continue
-            m3s = range(m2 + 1, bound + 1)
-            d = gcd(m1, m2)
-            if d > 1:
-                yield from ((m1, m2, m3) for m3 in m3s if gcd(d, m3) == 1)
-            else:
-                inv = pow(m2, -1, m1)
-                yield from ((m1, m2, m3) for m3 in m3s if m3 * inv % m1 * m2 > m3)
+            if m2 % m1:
+                shared = [p for p in primes if m2 % p == 0]
+                if shared:
+                    total += _count_coprime(shared, m2, bound)
+                else:
+                    total += bound - m2 - _count_members(m1, m2, m2, bound)
+    return total
+
+
+def _uncertified(m1: int, bound: int) -> list[tuple[int, int, int]]:
+    """The triples of ``candidate_triples(bound)`` with first entry m1 >= 5
+    that no witness family of m1 contains, in order.
+
+    A family contains (m1, m2, m3) unless m2 or m3 is one of its gaps, so an
+    uncertified pair {m2, m3} meets the gap set of every family.  One of the
+    two is then a gap g of family 1, and the other a gap of every family
+    that has g as a member; any partner will do when g is a gap of all four."""
+    window = (1 << (bound + 1)) - (2 << m1)  # m1 < m2 < m3 <= bound
+    first, *others = [((2 << frob) - 1 ^ mask) & window for mask, frob in _family_masks(m1)]
+    pairs = set()
+    for g in _bits(first):
+        partners = window & ~(1 << g)
+        for gaps in others:
+            if not gaps >> g & 1:
+                partners &= gaps
+        pairs.update((min(g, p), max(g, p)) for p in _bits(partners))
+    return [(m1, a, b) for a, b in sorted(pairs) if a % m1 and _outside(m1, a)(b)]
 
 
 def verify_delta(bound: int, jobs: int = 1) -> DeltaReport:
     """Flag every embedding-dimension-3 triple within ``bound`` that has no
     symmetric cover, and compare against the known four.
 
-    A triple that a witness family contains is covered by that family (each
-    m1's families are built once); the odd-gap criterion decides every other
-    one.  The triples stream past one m1 group at a time and are only
-    counted.  ``jobs`` is accepted and ignored: the census runs in one process.
+    The triples are counted, not listed.  For m1 >= 5 only the triples that
+    no witness family contains (the families are built and checked on each
+    call) go to the odd-gap criterion; for m1 in {3, 4} every triple does.
+    ``jobs`` is accepted and ignored: the census runs in one process.
     """
     if bound < 3:
         raise DomainError(f"bound must be at least 3, got {bound}")
-    examined = searched = 0
+    searched = 0
     flagged = []
-    for m1, group in groupby(candidate_triples(bound), key=lambda t: t[0]):
-        families = witness_families(m1) if m1 >= 5 else []
-        for t in group:
-            examined += 1
-            if not any(t[1] in s and t[2] in s for s in families):
-                searched += 1
-                if not has_symmetric_cover(from_generators(t)):
-                    flagged.append(t)
+    for m1 in range(3, bound - 1):
+        triples = _uncertified(m1, bound) if m1 >= 5 else _triples_with_multiplicity(m1, bound)
+        for t in triples:
+            searched += 1
+            if not has_symmetric_cover(from_generators(t)):
+                flagged.append(t)
     expected = tuple(t for t in DELTA if t[2] <= bound)
-    return DeltaReport(bound, tuple(sorted(flagged)), expected, examined, searched)
+    return DeltaReport(bound, tuple(flagged), expected, _count_triples(bound), searched)
 
 
-def witness_families(m1: int) -> list[NumericalSemigroup]:
-    """The four symmetric families covering every uncontained triple of
-    multiplicity m1 >= 5, each checked symmetric with its stated Frobenius
-    number (2*m1 - 1, 2*m1 + 1, 4*m1 - 3, 2*m1 + 3) before being returned."""
+def _symmetric_mask(gens: list[int], frob: int) -> int:
+    """Membership mask over [0, frob] of <gens>, built by adjoining each
+    generator that is not yet a member over [0, frob + gens[0]].  Raises
+    InvariantViolation unless the semigroup is symmetric with Frobenius
+    number ``frob``: frob is its largest gap there, since the gens[0]
+    members above it leave no gap beyond, and its genus is (frob + 1) / 2."""
+    full = (2 << (frob + gens[0])) - 1
+    mask = 1
+    for g in gens:
+        if not mask >> g & 1:
+            mask = _adjoin(mask, g, full)
+    gaps = full ^ mask
+    if gaps.bit_length() != frob + 1 or 2 * gaps.bit_count() != frob + 1:
+        raise InvariantViolation(
+            f"family {sorted(set(gens))} should be symmetric with Frobenius {frob}, got largest "
+            f"gap {gaps.bit_length() - 1} and genus {gaps.bit_count()} up to {frob + gens[0]}"
+        )
+    return mask & (full >> gens[0])
+
+
+def _family_masks(m1: int) -> list[tuple[int, int]]:
+    """Membership mask over [0, F] and Frobenius number F of each of the four
+    witness families of m1, each checked symmetric with that F."""
     if m1 < 5:
         raise DomainError(f"witness families are defined for multiplicity >= 5, got {m1}")
     families: list[tuple[list[int], int]] = [
@@ -282,13 +400,11 @@ def witness_families(m1: int) -> list[NumericalSemigroup]:
         ([m1, 2 * m1 - 1, *range(2 * m1 + 1, 3 * m1 - 3), 3 * m1 - 2], 4 * m1 - 3),
         ([m1, m1 + 1, *range(m1 + 4, 2 * m1)], 2 * m1 + 3),
     ]
-    out = []
-    for gens, frob in families:
-        s = from_generators(gens)
-        if not is_symmetric(s) or s.frobenius != frob:
-            raise InvariantViolation(
-                f"family {sorted(set(gens))} should be symmetric with "
-                f"Frobenius {frob}, got F={s.frobenius}, symmetric={is_symmetric(s)}"
-            )
-        out.append(s)
-    return out
+    return [(_symmetric_mask(gens, frob), frob) for gens, frob in families]
+
+
+def witness_families(m1: int) -> list[NumericalSemigroup]:
+    """The four symmetric families covering every uncontained triple of
+    multiplicity m1 >= 5, each checked symmetric with its stated Frobenius
+    number (2*m1 - 1, 2*m1 + 1, 4*m1 - 3, 2*m1 + 3) before being returned."""
+    return [_semigroup_from_mask(mask, frob, m1) for mask, frob in _family_masks(m1)]

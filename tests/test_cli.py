@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -234,6 +238,31 @@ def test_runtime_goes_to_stderr_not_stdout(capsys):
     captured = capsys.readouterr()
     assert "runtime" not in captured.out
     assert "runtime" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, expected, read",
+    [
+        (["sgp", "analyze", "1000", "1001", "--format", "json"], 0, 10),  # `| head -c 10`
+        (["sgp", "analyze", "3", "4", "5"], 0, 0),
+        (["sgp", "analyze", "4", "6", "--format", "json"], 2, 0),
+    ],
+)
+def test_closed_stdout_keeps_the_exit_code_and_prints_no_traceback(argv, expected, read):
+    # A reader that closes the pipe early makes the report's write fail with
+    # EPIPE; closing before the process writes makes that certain.
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hnlab.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    head = proc.stdout.read(read)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert head == b'{"command"'[:read]
+    assert proc.returncode == expected, err
+    assert err.decode().splitlines()[-1].startswith("runtime: "), err
+    assert b"Traceback" not in err and b"Error" not in err, err
 
 
 def test_frobenius_cap_env(capsys, monkeypatch):

@@ -4,7 +4,8 @@ symmetric-cover certificate against the exhaustive gap-subset search."""
 from __future__ import annotations
 
 import time
-from itertools import combinations
+from functools import cache
+from itertools import combinations, groupby
 from math import gcd
 
 import pytest
@@ -15,6 +16,7 @@ from test_semigroup import POPULATION
 from hnlab import (
     CoverQuery,
     DELTA,
+    DeltaReport,
     DomainError,
     InvariantViolation,
     UnsupportedMultiplicity,
@@ -28,12 +30,20 @@ from hnlab import (
     verify_delta,
     witness_families,
 )
+from hnlab import oversemigroups
 from hnlab.oversemigroups import (
+    _count_coprime,
+    _count_members,
+    _family_masks,
     _feasible,
     _iter_cover_masks,
     _mask_is_symmetric,
     _semigroup_from_mask,
+    _symmetric_mask,
+    _triples_with_multiplicity,
+    _uncertified,
 )
+from hnlab.semigroup import NumericalSemigroup
 
 # ── subset oracle ────────────────────────────────────────────────────────────
 
@@ -121,6 +131,33 @@ def test_members_rebuild_like_from_generators():
         m, frob = base.multiplicity, base.frobenius
         for u in oversemigroups_with_multiplicity(base, m):
             assert u == from_generators(x for x in range(m, frob + m + 1) if x in u), (gens, u)
+
+
+def semigroup_from_mask_by_comparison(mask: int, upto: int, mult: int) -> NumericalSemigroup:
+    """The pairwise oracle: a nonzero Apéry element w is a minimal generator
+    unless w - v is a member for a smaller nonzero Apéry element v."""
+    bits = format(mask, "b")[::-1]
+    apery = []
+    for r in range(mult):
+        k = bits[r::mult].find("1")
+        apery.append(r + k * mult if k >= 0 else upto + 1 + (r - upto - 1) % mult)
+    nz = sorted(w for w in apery if w)
+    gens = [w for i, w in enumerate(nz) if not any(w - v >= apery[(w - v) % mult] for v in nz[:i])]
+    return NumericalSemigroup((mult, *gens), tuple(apery))
+
+
+def test_semigroup_from_mask_matches_the_pairwise_oracle():
+    bases = [b for b in GATE_BASES if b.frobenius <= 26]  # multiplicities 1..10, 21,961 sets
+    assert len(bases) > 600
+    for base in bases:
+        m, frob = base.multiplicity, base.frobenius
+        for mask in _iter_cover_masks(base):
+            expected = semigroup_from_mask_by_comparison(mask, frob, m)
+            assert _semigroup_from_mask(mask, frob, m) == expected, (base, mask)
+    for m1 in range(5, 301):
+        for mask, frob in _family_masks(m1):
+            expected = semigroup_from_mask_by_comparison(mask, frob, m1)
+            assert _semigroup_from_mask(mask, frob, m1) == expected, (m1, frob)
 
 
 def test_enumeration_results_contain_base_and_keep_multiplicity():
@@ -298,6 +335,93 @@ def test_candidate_triples_filter():
     ]
 
 
+def paper_family_gens(m1: int) -> list[list[int]]:
+    """The generators of the four witness families of m1, as the paper states them."""
+    return [
+        list(range(m1, 2 * m1 - 1)),
+        [m1, *range(m1 + 2, 2 * m1)],
+        [m1, 2 * m1 - 1, *range(2 * m1 + 1, 3 * m1 - 3), 3 * m1 - 2],
+        [m1, m1 + 1, *range(m1 + 4, 2 * m1)],
+    ]
+
+
+@cache
+def paper_families(m1: int) -> list[NumericalSemigroup]:
+    return [from_generators(gens) for gens in paper_family_gens(m1)]
+
+
+def streaming_census(bound: int) -> DeltaReport:
+    """The per-triple oracle: list every candidate triple, certify it by the
+    families built through ``from_generators``, decide the rest by the criterion."""
+    examined = searched = 0
+    flagged = []
+    for m1, group in groupby(candidate_triples(bound), key=lambda t: t[0]):
+        families = paper_families(m1) if m1 >= 5 else []
+        for t in group:
+            examined += 1
+            if not any(t[1] in s and t[2] in s for s in families):
+                searched += 1
+                if not has_symmetric_cover(from_generators(t)):
+                    flagged.append(t)
+    expected = tuple(t for t in DELTA if t[2] <= bound)
+    return DeltaReport(bound, tuple(flagged), expected, examined, searched)
+
+
+@pytest.mark.parametrize("bounds", [range(3, 61), [100], [150]])
+def test_census_matches_the_streaming_oracle(bounds):
+    for bound in bounds:
+        assert verify_delta(bound) == streaming_census(bound), bound
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 60), st.integers(-5, 400), st.integers(0, 400))
+def test_count_members_matches_brute_force(m1, m2, lo, width):
+    assume(gcd(m1, m2) == 1)
+    hi = max(lo, 0) + width
+    members = {i * m1 + j * m2 for i in range(hi // m1 + 1) for j in range(hi // m2 + 1)}
+    assert _count_members(m1, m2, lo, hi) == sum(lo < n <= hi for n in members)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 2310), st.integers(-50, 1000), st.integers(0, 1000))
+def test_count_coprime_matches_brute_force(d, lo, width):
+    primes = [p for p in range(2, d + 1) if d % p == 0 and all(p % q for q in range(2, p))]
+    hi = lo + width
+    assert _count_coprime(primes, lo, hi) == sum(gcd(n, d) == 1 for n in range(lo + 1, hi + 1))
+
+
+def test_census_at_bound_300_is_fast():
+    # the streaming census takes about 12 s here, so a fallback to listing
+    # every triple (O(B^3)) fails; the counting takes well under a second
+    started = time.perf_counter()
+    report = verify_delta(300)
+    elapsed = time.perf_counter() - started
+    assert report.flagged == DELTA and report.matches
+    assert report.triples_examined == 3_305_042
+    assert elapsed < 5.0, elapsed
+
+
+def test_pigeonhole_lists_exactly_the_uncertified_triples(monkeypatch):
+    # Stand-in families with overlapping gaps, so that partners are
+    # intersections, and with gaps shared by all four, whose partner may be
+    # anything: the oversemigroups of multiplicity m1 of a few bases.
+    for gens in ([7, 9, 10], [7, 8], [8, 11, 13, 14], [9, 10]):
+        base = from_generators(gens)
+        m1, frob = base.multiplicity, base.frobenius
+        masks = list(_iter_cover_masks(base))
+        for picks in (masks[:4], masks[-4:], [masks[0]] * 4, masks[::max(1, len(masks) // 4)][:4]):
+            families = [_semigroup_from_mask(mask, frob, m1) for mask in picks]
+            stand_ins = [(mask, frob) for mask in picks]
+            monkeypatch.setattr(oversemigroups, "_family_masks", lambda m, s=stand_ins: s)
+            for bound in (m1 + 2, 2 * m1 + 3, frob + 4):
+                expected = [
+                    t
+                    for t in _triples_with_multiplicity(m1, bound)
+                    if not any(t[1] in s and t[2] in s for s in families)
+                ]
+                assert _uncertified(m1, bound) == expected, (gens, bound)
+
+
 @pytest.mark.parametrize("bound", [9, 12, 15])
 def test_verify_delta_flags_exactly_the_four(bound):
     report = verify_delta(bound)
@@ -371,6 +495,22 @@ def test_witness_families_verified_through_50():
         for s in (s1, s2, s3, s4):
             assert is_symmetric(s)
             assert s.multiplicity == m1
+
+
+def test_witness_families_match_the_generated_semigroups():
+    for m1 in range(5, 151):
+        assert witness_families(m1) == paper_families(m1), m1
+
+
+def test_family_builder_checks_symmetry_and_frobenius():
+    assert _symmetric_mask([5, 6, 7, 8], 9) == int("0111100001", 2)
+    for gens, frob in (
+        ([5, 6, 7], 9),  # Frobenius 9 but genus 6: not symmetric
+        ([5, 6, 7, 8], 11),  # the Frobenius number is 9
+        ([5, 6, 7, 8], 7),  # 9 is a gap above the stated Frobenius number
+    ):
+        with pytest.raises(InvariantViolation):
+            _symmetric_mask(gens, frob)
 
 
 def test_witness_families_reject_small_multiplicity():
