@@ -132,7 +132,7 @@ def _cmd_sgp_sym_cover(args: argparse.Namespace) -> Result:
 
 
 def _cmd_delta_verify(args: argparse.Namespace) -> Result:
-    delta = verify_delta(args.bound, jobs=args.jobs)
+    delta = verify_delta(args.bound)
     result = {**_plain(delta, omit=("bound",)), "match": delta.matches}
     if not delta.matches:
         raise VerificationMismatch("flagged triples differ from the known four", result)
@@ -242,8 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     delta_sub = delta.add_subparsers(dest="subcommand", required=True)
     p = delta_sub.add_parser("verify", parents=[common], help="flag uncovered triples up to a bound")
     p.add_argument("--bound", type=_positive_int, required=True)
-    p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="accepted and ignored: the census runs in one process (default 1)")
     p.set_defaults(handler="_cmd_delta_verify")
 
     hn_p = sub.add_parser("hn", help="Herzog-Northcott ideal data")

@@ -13,23 +13,24 @@ gaps, is built greedily with an exact feasibility test per step.  The
 exhaustive gap-subset DFS is the oracle behind
 ``oversemigroups_with_multiplicity``.
 
-The census counts the embedding-dimension-3 triples pair by pair (m1, m2)
-instead of listing them, and decides by the criterion only the triples no
-witness family contains.  For m1 >= 5 those are found by a pigeonhole on
-the gaps of the four ``witness_families`` (the paper's proof), built as
-masks and checked symmetric on every call; for m1 in {3, 4} every triple
-is decided.
+The census decides the third entries of each pair (m1, m2) in one mask:
+the m3 outside <m1, m2> that share no prime with gcd(m1, m2).
+``candidate_triples`` lists its bits and the census counts them.  For
+m1 >= 5 the census cuts the mask to the gaps of each of the four
+``witness_families`` (built as masks and checked symmetric on every call)
+that has m2 as a member, a pigeonhole that leaves nothing with the
+paper's families; the criterion decides what is left, and every triple
+with m1 in {3, 4}.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import gcd
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .errors import DomainError, InvariantViolation, UnsupportedMultiplicity
-from .semigroup import NumericalSemigroup, from_generators, profile
+from .semigroup import NumericalSemigroup, from_generators, is_symmetric, profile
 
 #: The four triples not contained in any symmetric semigroup of equal multiplicity.
 DELTA: tuple[tuple[int, int, int], ...] = ((3, 4, 5), (3, 5, 7), (4, 5, 7), (4, 7, 9))
@@ -229,13 +230,23 @@ def _first_symmetric_cover(base: NumericalSemigroup) -> tuple[int, int]:
 def symmetric_cover(q: CoverQuery) -> CoverVerdict:
     """Decide by the odd-gap criterion whether a symmetric semigroup of
     multiplicity ``target_mult`` contains the base, and build the first one
-    in the order of ``oversemigroups_with_multiplicity``."""
+    in the order of ``oversemigroups_with_multiplicity``.  The witness is
+    checked before it is returned; InvariantViolation if it is no such cover."""
     base = q.base
     _require_multiplicity(base, q.target_mult)
     if not has_symmetric_cover(base):
         return CoverVerdict(False, None, 0)
     mask, checks = _first_symmetric_cover(base)
-    return CoverVerdict(True, _semigroup_from_mask(mask, base.frobenius, base.multiplicity), checks)
+    m = base.multiplicity
+    witness = _semigroup_from_mask(mask, base.frobenius, m)
+    # O(m) on the Apéry set: no member in (0, m), symmetric, and above the base
+    if not (
+        all(a > m for a in witness.apery[1:])
+        and is_symmetric(witness)
+        and all(g in witness for g in base.minimal_gens)
+    ):
+        raise InvariantViolation(f"{witness} is no symmetric cover of {base} of multiplicity {m}")
+    return CoverVerdict(True, witness, checks)
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -246,26 +257,28 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _outside(m1: int, m2: int) -> Callable[[int], bool]:
-    """For m1 < m2 with m2 not a multiple of m1, the test on m3 > m2 of
-    whether (m1, m2, m3) has gcd 1 and m3 lies outside <m1, m2>.
-
-    When gcd(m1, m2) = 1, the least member of <m1, m2> congruent to m3 mod
-    m1 is k*m2 with k = m3 * m2^-1 mod m1, an O(1) test.  Otherwise every
-    m3 coprime to gcd(m1, m2) lies outside <m1, m2>."""
-    d = gcd(m1, m2)
-    if d > 1:
-        return lambda m3: gcd(d, m3) == 1
-    inv = pow(m2, -1, m1)
-    return lambda m3: m3 * inv % m1 * m2 > m3
+def _multiples(q: int, bound: int) -> int:
+    """Mask of the multiples of q in [0, bound]: a base-2^q repunit."""
+    return ((1 << q * (bound // q + 1)) - 1) // ((1 << q) - 1)
 
 
-def _triples_with_multiplicity(m1: int, bound: int) -> Iterator[tuple[int, int, int]]:
-    """The triples of ``candidate_triples(bound)`` with first entry m1, in order."""
+def _third_entries(m1: int, bound: int) -> Iterator[tuple[int, int]]:
+    """For each m2 in (m1, bound) that m1 does not divide, m2 and the mask of
+    the m3 in (m2, bound] that complete the triples of
+    ``candidate_triples(bound)``: m3 outside <m1, m2> and sharing no prime
+    with d = gcd(m1, m2).  <m1, m2> is m2 adjoined to the multiples of m1,
+    and the numbers sharing a prime with d are the multiples of the
+    divisors > 1 of d, which are the divisors of m1 that divide m2."""
+    full = (2 << bound) - 1
+    divisors = [(q, _multiples(q, bound)) for q in range(2, m1 + 1) if m1 % q == 0]
+    multiples = divisors[-1][1]  # of q = m1
     for m2 in range(m1 + 1, bound):
         if m2 % m1:
-            outside = _outside(m1, m2)
-            yield from ((m1, m2, m3) for m3 in range(m2 + 1, bound + 1) if outside(m3))
+            taken = _adjoin(multiples, m2, full)
+            for q, mask in divisors:
+                if m2 % q == 0:
+                    taken |= mask
+            yield m2, (full ^ taken) >> (m2 + 1) << (m2 + 1)
 
 
 def candidate_triples(bound: int) -> Iterator[tuple[int, int, int]]:
@@ -273,100 +286,40 @@ def candidate_triples(bound: int) -> Iterator[tuple[int, int, int]]:
     with gcd 1 and embedding dimension exactly 3 (m2 not a multiple of m1,
     m3 outside <m1, m2>)."""
     for m1 in range(3, bound - 1):
-        yield from _triples_with_multiplicity(m1, bound)
-
-
-def _prime_factors(n: int) -> list[int]:
-    """The distinct primes dividing n >= 1, by trial division."""
-    primes, p = [], 2
-    while p * p <= n:
-        if n % p == 0:
-            primes.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    return primes + [n] if n > 1 else primes
-
-
-def _count_coprime(primes: list[int], lo: int, hi: int) -> int:
-    """The integers in (lo, hi] divisible by none of the distinct ``primes``,
-    by inclusion-exclusion over their products."""
-    terms = [(1, 1)]
-    for p in primes:
-        terms += [(e * p, -sign) for e, sign in terms]
-    return sum(sign * (hi // e - lo // e) for e, sign in terms)
-
-
-def _count_members(m1: int, m2: int, lo: int, hi: int) -> int:
-    """The members of <m1, m2>, gcd(m1, m2) = 1, in (lo, hi] for 0 <= hi and
-    lo <= hi.  Each member has exactly one form i*m1 + j*m2 with i >= 0 and
-    0 <= j < m1 (Rosales & García-Sánchez, Numerical Semigroups, ch. 2), so
-    for each j the i form one run."""
-    return sum(
-        (hi - j * m2) // m1 - max((lo - j * m2) // m1, -1)
-        for j in range(min(m1 - 1, hi // m2) + 1)
-    )
-
-
-def _count_triples(bound: int) -> int:
-    """The number of triples ``candidate_triples(bound)`` yields, counted per
-    pair (m1, m2): the m3 in (m2, bound] coprime to gcd(m1, m2) when it
-    exceeds 1, else those outside <m1, m2>.  The primes of the gcd are the
-    primes of m1 that divide m2."""
-    total = 0
-    for m1 in range(3, bound - 1):
-        primes = _prime_factors(m1)
-        for m2 in range(m1 + 1, bound):
-            if m2 % m1:
-                shared = [p for p in primes if m2 % p == 0]
-                if shared:
-                    total += _count_coprime(shared, m2, bound)
-                else:
-                    total += bound - m2 - _count_members(m1, m2, m2, bound)
-    return total
-
-
-def _uncertified(m1: int, bound: int) -> list[tuple[int, int, int]]:
-    """The triples of ``candidate_triples(bound)`` with first entry m1 >= 5
-    that no witness family of m1 contains, in order.
-
-    A family contains (m1, m2, m3) unless m2 or m3 is one of its gaps, so an
-    uncertified pair {m2, m3} meets the gap set of every family.  One of the
-    two is then a gap g of family 1, and the other a gap of every family
-    that has g as a member; any partner will do when g is a gap of all four."""
-    window = (1 << (bound + 1)) - (2 << m1)  # m1 < m2 < m3 <= bound
-    first, *others = [((2 << frob) - 1 ^ mask) & window for mask, frob in _family_masks(m1)]
-    pairs = set()
-    for g in _bits(first):
-        partners = window & ~(1 << g)
-        for gaps in others:
-            if not gaps >> g & 1:
-                partners &= gaps
-        pairs.update((min(g, p), max(g, p)) for p in _bits(partners))
-    return [(m1, a, b) for a, b in sorted(pairs) if a % m1 and _outside(m1, a)(b)]
+        for m2, third in _third_entries(m1, bound):
+            yield from ((m1, m2, m3) for m3 in _bits(third))
 
 
 def verify_delta(bound: int, jobs: int = 1) -> DeltaReport:
     """Flag every embedding-dimension-3 triple within ``bound`` that has no
     symmetric cover, and compare against the known four.
 
-    The triples are counted, not listed.  For m1 >= 5 only the triples that
-    no witness family contains (the families are built and checked on each
-    call) go to the odd-gap criterion; for m1 in {3, 4} every triple does.
-    ``jobs`` is accepted and ignored: the census runs in one process.
+    The triples are counted off each pair's third-entry mask, not listed.
+    For m1 >= 5 a witness family that has m2 as a member contains the
+    triple unless m3 is one of its gaps, so the mask is cut to the gaps of
+    every such family (the families are built and checked on each call);
+    the bits left go to the odd-gap criterion.  For m1 in {3, 4} every
+    triple does.  ``jobs`` is accepted and ignored: the census runs in one
+    process.
     """
     if bound < 3:
         raise DomainError(f"bound must be at least 3, got {bound}")
-    searched = 0
+    examined = searched = 0
     flagged = []
     for m1 in range(3, bound - 1):
-        triples = _uncertified(m1, bound) if m1 >= 5 else _triples_with_multiplicity(m1, bound)
-        for t in triples:
-            searched += 1
-            if not has_symmetric_cover(from_generators(t)):
-                flagged.append(t)
+        families = _family_masks(m1) if m1 >= 5 else []
+        family_gaps = [(2 << frob) - 1 ^ mask for mask, frob in families]
+        for m2, third in _third_entries(m1, bound):
+            examined += third.bit_count()
+            for gaps in family_gaps:
+                if not gaps >> m2 & 1:  # a member, as is everything above the family's F
+                    third &= gaps
+            for m3 in _bits(third):
+                searched += 1
+                if not has_symmetric_cover(from_generators((m1, m2, m3))):
+                    flagged.append((m1, m2, m3))
     expected = tuple(t for t in DELTA if t[2] <= bound)
-    return DeltaReport(bound, tuple(flagged), expected, _count_triples(bound), searched)
+    return DeltaReport(bound, tuple(flagged), expected, examined, searched)
 
 
 def _symmetric_mask(gens: list[int], frob: int) -> int:

@@ -302,7 +302,7 @@ def test_mismatch_exit_code_mapping(capsys, monkeypatch):
     # catalogue example whose checks fail.  Both keep the partial result.
     real_delta, real_example = cli.verify_delta, cli.verify_example
     monkeypatch.setattr(
-        cli, "verify_delta", lambda bound, jobs=1: replace(real_delta(bound, jobs), flagged=())
+        cli, "verify_delta", lambda bound: replace(real_delta(bound), flagged=())
     )
     monkeypatch.setattr(
         cli, "verify_example", lambda spec: replace(real_example(spec), verdict=False)

@@ -3,6 +3,7 @@ symmetric-cover certificate against the exhaustive gap-subset search."""
 
 from __future__ import annotations
 
+import json
 import time
 from functools import cache
 from itertools import combinations, groupby
@@ -31,17 +32,16 @@ from hnlab import (
     witness_families,
 )
 from hnlab import oversemigroups
+from hnlab.cli import main
 from hnlab.oversemigroups import (
-    _count_coprime,
-    _count_members,
     _family_masks,
     _feasible,
     _iter_cover_masks,
     _mask_is_symmetric,
+    _member_mask,
     _semigroup_from_mask,
     _symmetric_mask,
-    _triples_with_multiplicity,
-    _uncertified,
+    _third_entries,
 )
 from hnlab.semigroup import NumericalSemigroup
 
@@ -202,6 +202,18 @@ def test_cover_known_values():
     assert v.search_count == 77
 
 
+def test_a_witness_that_is_no_symmetric_cover_is_caught(monkeypatch, capsys):
+    # A greedy that handed back the base itself: <3,7,8> is covered but not
+    # symmetric, so the witness check fails, in the library and through main.
+    monkeypatch.setattr(
+        oversemigroups, "_first_symmetric_cover", lambda base: (_member_mask(base), 0)
+    )
+    with pytest.raises(InvariantViolation):
+        symmetric_cover(CoverQuery(from_generators([3, 7, 8]), 3))
+    assert main(["sgp", "sym-cover", "3", "7", "8", "--mult", "3", "--format", "json"]) == 3
+    assert json.loads(capsys.readouterr().out)["error"]["code"] == "InvariantViolation"
+
+
 def test_cover_witnesses_beyond_the_search():
     # <25,41,49>: the DFS witness, 32,643rd in search order; <40,67,79>: the
     # DFS does not finish; <800,801> (F = 639,199) is symmetric, so it is its
@@ -326,13 +338,15 @@ def test_candidate_triples_filter():
     assert (4, 8, 9) not in triples  # 8 multiple of 4
     for t in triples:
         assert from_generators(list(t)).embedding_dimension == 3
-    # complete both ways, in lexicographic order: every gcd-1 triple of
-    # embedding dimension 3 is listed, and nothing else
-    assert triples == [
+    # complete both ways, in lexicographic order, at every bound: every
+    # gcd-1 triple of embedding dimension 3 is listed, and nothing else
+    brute = [
         t
-        for t in combinations(range(3, 31), 3)
+        for t in combinations(range(3, 41), 3)
         if gcd(*t) == 1 and from_generators(t).embedding_dimension == 3
     ]
+    for bound in range(3, 41):
+        assert list(candidate_triples(bound)) == [t for t in brute if t[2] <= bound], bound
 
 
 def paper_family_gens(m1: int) -> list[list[int]]:
@@ -374,20 +388,19 @@ def test_census_matches_the_streaming_oracle(bounds):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 40), st.integers(1, 60), st.integers(-5, 400), st.integers(0, 400))
-def test_count_members_matches_brute_force(m1, m2, lo, width):
-    assume(gcd(m1, m2) == 1)
-    hi = max(lo, 0) + width
-    members = {i * m1 + j * m2 for i in range(hi // m1 + 1) for j in range(hi // m2 + 1)}
-    assert _count_members(m1, m2, lo, hi) == sum(lo < n <= hi for n in members)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.integers(1, 2310), st.integers(-50, 1000), st.integers(0, 1000))
-def test_count_coprime_matches_brute_force(d, lo, width):
-    primes = [p for p in range(2, d + 1) if d % p == 0 and all(p % q for q in range(2, p))]
-    hi = lo + width
-    assert _count_coprime(primes, lo, hi) == sum(gcd(n, d) == 1 for n in range(lo + 1, hi + 1))
+@given(st.integers(3, 60), st.integers(0, 300))
+def test_third_entries_match_brute_force(m1, width):
+    bound = m1 + 2 + width
+    expected = {}
+    for m2 in range(m1 + 1, bound):
+        if m2 % m1:
+            d = gcd(m1, m2)
+            members = {
+                i * m1 + j * m2 for i in range(bound // m1 + 1) for j in range(bound // m2 + 1)
+            }
+            third = [n for n in range(m2 + 1, bound + 1) if gcd(d, n) == 1 and n not in members]
+            expected[m2] = sum(1 << n for n in third)
+    assert dict(_third_entries(m1, bound)) == expected
 
 
 def test_census_at_bound_300_is_fast():
@@ -402,9 +415,18 @@ def test_census_at_bound_300_is_fast():
 
 
 def test_pigeonhole_lists_exactly_the_uncertified_triples(monkeypatch):
-    # Stand-in families with overlapping gaps, so that partners are
-    # intersections, and with gaps shared by all four, whose partner may be
-    # anything: the oversemigroups of multiplicity m1 of a few bases.
+    # Stand-in families with overlapping gaps, so that the third-entry mask
+    # is cut by several, and with gaps shared by all four: the
+    # oversemigroups of multiplicity m1 of a few bases, used for every
+    # m1 >= 5.  The triples the criterion sees are exactly those with
+    # m1 < 5 or in no stand-in.
+    searched = []
+
+    def recording_criterion(s):
+        searched.append(s.minimal_gens)
+        return True
+
+    monkeypatch.setattr(oversemigroups, "has_symmetric_cover", recording_criterion)
     for gens in ([7, 9, 10], [7, 8], [8, 11, 13, 14], [9, 10]):
         base = from_generators(gens)
         m1, frob = base.multiplicity, base.frobenius
@@ -416,10 +438,12 @@ def test_pigeonhole_lists_exactly_the_uncertified_triples(monkeypatch):
             for bound in (m1 + 2, 2 * m1 + 3, frob + 4):
                 expected = [
                     t
-                    for t in _triples_with_multiplicity(m1, bound)
-                    if not any(t[1] in s and t[2] in s for s in families)
+                    for t in candidate_triples(bound)
+                    if t[0] < 5 or not any(t[1] in s and t[2] in s for s in families)
                 ]
-                assert _uncertified(m1, bound) == expected, (gens, bound)
+                searched.clear()
+                assert verify_delta(bound).triples_searched == len(expected), (gens, bound)
+                assert searched == expected, (gens, bound)
 
 
 @pytest.mark.parametrize("bound", [9, 12, 15])
