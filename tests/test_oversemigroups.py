@@ -403,6 +403,32 @@ def test_third_entries_match_brute_force(m1, width):
     assert dict(_third_entries(m1, bound)) == expected
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(3, 40), st.integers(1, 60), st.integers(0, 400))
+def test_count_members_matches_brute_force(m1, step, width):
+    # with gcd(m1, m2) = 1 the mask is (m2, bound] less the members of <m1, m2>
+    m2 = m1 + step
+    assume(gcd(m1, m2) == 1)
+    bound = m2 + 1 + width
+    members = {i * m1 + j * m2 for i in range(bound // m1 + 1) for j in range(bound // m2 + 1)}
+    third = dict(_third_entries(m1, bound))[m2]
+    assert bound - m2 - third.bit_count() == sum(m2 < n <= bound for n in members)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 2310), st.integers(2, 6), st.integers(0, 1000))
+def test_count_coprime_matches_brute_force(d, a, width):
+    # m1 = a*d does not divide m2 = (a + 1)*d and gcd(m1, m2) = d, so the mask
+    # is the n in (m2, bound] coprime to d, less the members of <m1, m2>
+    m1, m2 = a * d, (a + 1) * d
+    assume(m1 >= 3)
+    bound = m2 + 1 + width
+    third = next(t for m, t in _third_entries(m1, bound) if m == m2)
+    members = {i * m1 + j * m2 for i in range(bound // m1 + 1) for j in range(bound // m2 + 1)}
+    coprime = [n for n in range(m2 + 1, bound + 1) if gcd(n, d) == 1]
+    assert third.bit_count() + sum(n in members for n in coprime) == len(coprime)
+
+
 def test_census_at_bound_300_is_fast():
     # the streaming census takes about 12 s here, so a fallback to listing
     # every triple (O(B^3)) fails; the counting takes well under a second
