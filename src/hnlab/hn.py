@@ -197,10 +197,9 @@ def solve_exponents(m: Triple) -> list[ExponentPair]:
     """Invert m -> (a, b) for multiplier triples with m1 in {3, 4}.
 
     m1 = 3 forces a2 = a3 = b2 = b3 = 1 and a linear system with solution
-    a1 = (2*m2 - m3)/3, b1 = (2*m3 - m2)/3.  m1 = 4 splits into the branch
-    a2 = 2 (a1 = (3*m2 - m3)/4, b1 = (m3 - m2)/2) and the branch b3 = 2
-    (a1 = (m2 - m3)/2, b1 = (3*m3 - m2)/4); the second never yields a
-    positive a1 when m2 < m3.  Every candidate is rebuilt and kept only if
+    a1 = (2*m2 - m3)/3, b1 = (2*m3 - m2)/3.  m1 = 4 forces a2 = 2, the
+    rest 1, and a1 = (3*m2 - m3)/4, b1 = (m3 - m2)/2 (b3 = 2 instead would
+    need a1 = (m2 - m3)/2 > 0).  The candidate is rebuilt and kept only if
     it reproduces m exactly.  Other m1 values raise NotImplementedRange.
     """
     m1, m2, m3 = m
@@ -212,20 +211,13 @@ def solve_exponents(m: Triple) -> list[ExponentPair]:
         raise NotImplementedRange(f"exponent solver handles m1 in {{3, 4}}, got m1={m1}")
 
     if m1 == 3:
-        branches = [((2 * m2 - m3, 3), (2 * m3 - m2, 3), (1, 1), (1, 1))]
+        (a1n, a1d), (b1n, b1d), a2 = (2 * m2 - m3, 3), (2 * m3 - m2, 3), 1
     else:
-        branches = [
-            ((3 * m2 - m3, 4), (m3 - m2, 2), (2, 1), (1, 1)),  # a2 = 2 branch
-            ((m2 - m3, 2), (3 * m3 - m2, 4), (1, 1), (1, 2)),  # b3 = 2 branch
-        ]
-    solutions = []
-    for (a1n, a1d), (b1n, b1d), (a2, a3), (b2, b3) in branches:
-        if a1n <= 0 or a1n % a1d or b1n <= 0 or b1n % b1d:
-            continue
-        pair = ExponentPair((a1n // a1d, a2, a3), (b1n // b1d, b2, b3))
-        if build(pair).m == m:
-            solutions.append(pair)
-    return solutions
+        (a1n, a1d), (b1n, b1d), a2 = (3 * m2 - m3, 4), (m3 - m2, 2), 2
+    if a1n <= 0 or a1n % a1d or b1n <= 0 or b1n % b1d:
+        return []
+    pair = ExponentPair((a1n // a1d, a2, 1), (b1n // b1d, 1, 1))
+    return [pair] if build(pair).m == m else []
 
 
 def theorem_verdict(h: HNIdeal, e: int) -> TheoremVerdict:

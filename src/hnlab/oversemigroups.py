@@ -16,11 +16,10 @@ exhaustive gap-subset DFS is the oracle behind
 The census decides the third entries of each pair (m1, m2) in one mask:
 the m3 outside <m1, m2> that share no prime with gcd(m1, m2).
 ``candidate_triples`` lists its bits and the census counts them.  For
-m1 >= 5 the census cuts the mask to the gaps of each of the four
-``witness_families`` (built as masks and checked symmetric on every call)
-that has m2 as a member, a pigeonhole that leaves nothing with the
-paper's families; the criterion decides what is left, and every triple
-with m1 in {3, 4}.
+every m1 the census cuts the mask to the gaps of each witness family of
+m1 (built as masks and checked symmetric on every call) that has m2 as a
+member, a pigeonhole that leaves exactly DELTA with the paper's
+families; the criterion decides what is left.
 """
 
 from __future__ import annotations
@@ -62,8 +61,9 @@ class CoverVerdict:
 @dataclass(frozen=True)
 class DeltaReport:
     """The census up to ``bound``: ``triples_examined`` embedding-dimension-3
-    triples, of which ``triples_searched`` lie in no witness family and were
-    decided by the criterion; ``flagged`` are the uncovered ones."""
+    triples, of which ``triples_searched`` lie in no witness family (with
+    the paper's families, exactly the DELTA triples within ``bound``) and
+    were decided by the criterion; ``flagged`` are the uncovered ones."""
 
     bound: int
     flagged: tuple[tuple[int, int, int], ...]
@@ -257,11 +257,6 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _multiples(q: int, bound: int) -> int:
-    """Mask of the multiples of q in [0, bound]: a base-2^q repunit."""
-    return ((1 << q * (bound // q + 1)) - 1) // ((1 << q) - 1)
-
-
 def _third_entries(m1: int, bound: int) -> Iterator[tuple[int, int]]:
     """For each m2 in (m1, bound) that m1 does not divide, m2 and the mask of
     the m3 in (m2, bound] that complete the triples of
@@ -270,7 +265,7 @@ def _third_entries(m1: int, bound: int) -> Iterator[tuple[int, int]]:
     and the numbers sharing a prime with d are the multiples of the
     divisors > 1 of d, which are the divisors of m1 that divide m2."""
     full = (2 << bound) - 1
-    divisors = [(q, _multiples(q, bound)) for q in range(2, m1 + 1) if m1 % q == 0]
+    divisors = [(q, _adjoin(1, q, full)) for q in range(2, m1 + 1) if m1 % q == 0]
     multiples = divisors[-1][1]  # of q = m1
     for m2 in range(m1 + 1, bound):
         if m2 % m1:
@@ -295,20 +290,18 @@ def verify_delta(bound: int, jobs: int = 1) -> DeltaReport:
     symmetric cover, and compare against the known four.
 
     The triples are counted off each pair's third-entry mask, not listed.
-    For m1 >= 5 a witness family that has m2 as a member contains the
-    triple unless m3 is one of its gaps, so the mask is cut to the gaps of
-    every such family (the families are built and checked on each call);
-    the bits left go to the odd-gap criterion.  For m1 in {3, 4} every
-    triple does.  ``jobs`` is accepted and ignored: the census runs in one
-    process.
+    A witness family of m1 that has m2 as a member contains the triple
+    unless m3 is one of its gaps, so the mask is cut to the gaps of every
+    such family (the families are built and checked on each call); the
+    bits left, the DELTA triples, go to the odd-gap criterion.  ``jobs`` is
+    accepted and ignored: the census runs in one process.
     """
     if bound < 3:
         raise DomainError(f"bound must be at least 3, got {bound}")
     examined = searched = 0
     flagged = []
     for m1 in range(3, bound - 1):
-        families = _family_masks(m1) if m1 >= 5 else []
-        family_gaps = [(2 << frob) - 1 ^ mask for mask, frob in families]
+        family_gaps = [(2 << frob) - 1 ^ mask for mask, frob in _family_masks(m1)]
         for m2, third in _third_entries(m1, bound):
             examined += third.bit_count()
             for gaps in family_gaps:
@@ -343,21 +336,25 @@ def _symmetric_mask(gens: list[int], frob: int) -> int:
 
 
 def _family_masks(m1: int) -> list[tuple[int, int]]:
-    """Membership mask over [0, F] and Frobenius number F of each of the four
-    witness families of m1, each checked symmetric with that F."""
-    if m1 < 5:
-        raise DomainError(f"witness families are defined for multiplicity >= 5, got {m1}")
+    """Membership mask over [0, F] and Frobenius number F of each witness
+    family of m1 >= 3, each checked symmetric with that F: all four for
+    m1 >= 4, the first two for m1 = 3, where the last two formulas give
+    <3, 5, 7> and <3, 4>, whose Frobenius numbers are not 9."""
     families: list[tuple[list[int], int]] = [
         (list(range(m1, 2 * m1 - 1)), 2 * m1 - 1),
         ([m1, *range(m1 + 2, 2 * m1)], 2 * m1 + 1),
         ([m1, 2 * m1 - 1, *range(2 * m1 + 1, 3 * m1 - 3), 3 * m1 - 2], 4 * m1 - 3),
         ([m1, m1 + 1, *range(m1 + 4, 2 * m1)], 2 * m1 + 3),
     ]
-    return [(_symmetric_mask(gens, frob), frob) for gens, frob in families]
+    return [(_symmetric_mask(gens, frob), frob) for gens, frob in families[: 2 if m1 == 3 else 4]]
 
 
 def witness_families(m1: int) -> list[NumericalSemigroup]:
-    """The four symmetric families covering every uncontained triple of
-    multiplicity m1 >= 5, each checked symmetric with its stated Frobenius
-    number (2*m1 - 1, 2*m1 + 1, 4*m1 - 3, 2*m1 + 3) before being returned."""
+    """The four symmetric families of multiplicity m1 >= 5, one of which
+    contains each embedding-dimension-3 triple of that multiplicity, each
+    checked symmetric with its stated Frobenius number (2*m1 - 1,
+    2*m1 + 1, 4*m1 - 3, 2*m1 + 3) before being returned.  The census cuts
+    by the same formulas down to m1 = 3, where they leave DELTA."""
+    if m1 < 5:
+        raise DomainError(f"witness families are defined for multiplicity >= 5, got {m1}")
     return [_semigroup_from_mask(mask, frob, m1) for mask, frob in _family_masks(m1)]

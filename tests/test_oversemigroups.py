@@ -154,7 +154,7 @@ def test_semigroup_from_mask_matches_the_pairwise_oracle():
         for mask in _iter_cover_masks(base):
             expected = semigroup_from_mask_by_comparison(mask, frob, m)
             assert _semigroup_from_mask(mask, frob, m) == expected, (base, mask)
-    for m1 in range(5, 301):
+    for m1 in range(3, 301):
         for mask, frob in _family_masks(m1):
             expected = semigroup_from_mask_by_comparison(mask, frob, m1)
             assert _semigroup_from_mask(mask, frob, m1) == expected, (m1, frob)
@@ -350,18 +350,25 @@ def test_candidate_triples_filter():
 
 
 def paper_family_gens(m1: int) -> list[list[int]]:
-    """The generators of the four witness families of m1, as the paper states them."""
-    return [
+    """The generators of the witness families of m1, as the paper states
+    them: all four for m1 >= 4, the first two for m1 = 3."""
+    gens = [
         list(range(m1, 2 * m1 - 1)),
         [m1, *range(m1 + 2, 2 * m1)],
         [m1, 2 * m1 - 1, *range(2 * m1 + 1, 3 * m1 - 3), 3 * m1 - 2],
         [m1, m1 + 1, *range(m1 + 4, 2 * m1)],
     ]
+    return gens[:2] if m1 == 3 else gens
 
 
 @cache
 def paper_families(m1: int) -> list[NumericalSemigroup]:
     return [from_generators(gens) for gens in paper_family_gens(m1)]
+
+
+def mask_families(m1: int) -> list[NumericalSemigroup]:
+    """The families the census cuts by, as semigroups."""
+    return [_semigroup_from_mask(mask, frob, m1) for mask, frob in _family_masks(m1)]
 
 
 def streaming_census(bound: int) -> DeltaReport:
@@ -370,7 +377,7 @@ def streaming_census(bound: int) -> DeltaReport:
     examined = searched = 0
     flagged = []
     for m1, group in groupby(candidate_triples(bound), key=lambda t: t[0]):
-        families = paper_families(m1) if m1 >= 5 else []
+        families = paper_families(m1)
         for t in group:
             examined += 1
             if not any(t[1] in s and t[2] in s for s in families):
@@ -444,8 +451,7 @@ def test_pigeonhole_lists_exactly_the_uncertified_triples(monkeypatch):
     # Stand-in families with overlapping gaps, so that the third-entry mask
     # is cut by several, and with gaps shared by all four: the
     # oversemigroups of multiplicity m1 of a few bases, used for every
-    # m1 >= 5.  The triples the criterion sees are exactly those with
-    # m1 < 5 or in no stand-in.
+    # m1.  The triples the criterion sees are exactly those in no stand-in.
     searched = []
 
     def recording_criterion(s):
@@ -465,7 +471,7 @@ def test_pigeonhole_lists_exactly_the_uncertified_triples(monkeypatch):
                 expected = [
                     t
                     for t in candidate_triples(bound)
-                    if t[0] < 5 or not any(t[1] in s and t[2] in s for s in families)
+                    if not any(t[1] in s and t[2] in s for s in families)
                 ]
                 searched.clear()
                 assert verify_delta(bound).triples_searched == len(expected), (gens, bound)
@@ -509,17 +515,33 @@ def test_verify_delta_matches_exhaustive_oracle(covered_upto_30):
 
 
 def test_family_certificates_agree_with_the_search(covered_upto_30):
+    # every m1 from 3: a family-certified triple is covered by the DFS, and
+    # the triples no family certifies are exactly DELTA
+    uncertified = []
     for t, covered in covered_upto_30.items():
-        if t[0] >= 5:
-            families = witness_families(t[0])
-            assert any(t[1] in s and t[2] in s for s in families), t
+        if any(t[1] in s and t[2] in s for s in mask_families(t[0])):
             assert covered, t
+        else:
+            uncertified.append(t)
+    assert tuple(uncertified) == DELTA
 
 
-def test_census_searches_only_multiplicities_3_and_4():
-    report = verify_delta(60)
-    assert report.triples_examined == len(list(candidate_triples(60)))
-    assert report.triples_searched == sum(1 for t in candidate_triples(60) if t[0] < 5)
+def test_census_searches_exactly_delta(monkeypatch):
+    # the criterion still decides every triple handed to it, and those
+    # triples are exactly DELTA within the bound, from m1 = 3 up
+    seen = []
+
+    def recording_criterion(s):
+        seen.append(s.minimal_gens)
+        return has_symmetric_cover(s)
+
+    monkeypatch.setattr(oversemigroups, "has_symmetric_cover", recording_criterion)
+    for bound in [*range(3, 61), 300]:
+        seen.clear()
+        report = verify_delta(bound)
+        assert seen == [t for t in DELTA if t[2] <= bound], bound
+        assert report.triples_searched == len(seen), bound
+        assert report.flagged == report.expected, bound
 
 
 # ── the four witness families ────────────────────────────────────────────────
@@ -550,6 +572,9 @@ def test_witness_families_verified_through_50():
 def test_witness_families_match_the_generated_semigroups():
     for m1 in range(5, 151):
         assert witness_families(m1) == paper_families(m1), m1
+    for m1 in (3, 4):  # the census's families below 5, by the same formulas
+        assert mask_families(m1) == paper_families(m1), m1
+        assert all(is_symmetric(s) and s.multiplicity == m1 for s in paper_families(m1)), m1
 
 
 def test_family_builder_checks_symmetry_and_frobenius():
@@ -558,14 +583,17 @@ def test_family_builder_checks_symmetry_and_frobenius():
         ([5, 6, 7], 9),  # Frobenius 9 but genus 6: not symmetric
         ([5, 6, 7, 8], 11),  # the Frobenius number is 9
         ([5, 6, 7, 8], 7),  # 9 is a gap above the stated Frobenius number
+        ([3, 5, 7], 9),  # the third formula at m1 = 3: Frobenius 4
+        ([3, 4], 9),  # the fourth formula at m1 = 3: Frobenius 5
     ):
         with pytest.raises(InvariantViolation):
             _symmetric_mask(gens, frob)
 
 
 def test_witness_families_reject_small_multiplicity():
-    with pytest.raises(DomainError):
-        witness_families(4)
+    for m1 in (3, 4):
+        with pytest.raises(DomainError):
+            witness_families(m1)
 
 
 def test_invariant_violation_is_importable():
