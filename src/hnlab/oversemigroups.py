@@ -1,15 +1,19 @@
 """Symmetric covers and oversemigroups of prescribed multiplicity.
 
-Sets are integer bitmasks over [0, F(T)] for a base T of multiplicity m
-(everything above F(T) is a member), so closures and mirror tests are a
-few shifts.  A symmetric cover is decided by a certificate (Rosales &
-Branco, Pacific J. Math. 209, 2003): for m >= 3, some symmetric U of
-multiplicity m contains T iff T has an odd gap F' >= 2m - 1.  Symmetry
-sends the gap m - 1 to a member F(U) - m + 1 >= m; conversely, from T plus
-(F', oo), adjoining the largest gap h whose mirror F' - h is a gap, while
-one exists, keeps F' and ends symmetric, and each h > F'/2 keeps m.  The
-witness, the first symmetric cover in lexicographic order of the adjoined
-gaps, is built greedily with an exact feasibility test per step.  The
+Sets are integer bitmasks over [0, F] (everything above F is a member),
+so closures and mirrors are a few shifts.  A symmetric cover has a
+closed form (Rosales & Branco, Pacific J. Math. 209, 2003): for m >= 3,
+some symmetric U of multiplicity m contains T iff T has an odd gap
+F' >= 2m - 1.  Symmetry sends the gap m - 1 of U to its member
+F(U) - m + 1 >= m, so F(U) is such a gap of T.  Conversely, for F' the
+largest odd gap of T, the witness is
+
+    U = T ∪ {x in (F'/2, F'] : F' - x not in T} ∪ (F', oo).
+
+Closed: an adjoined x and b in T with x + b <= F' sum to an adjoined
+member, since F' - x - b in T would put F' - x in T.  Symmetric: exactly
+one of x and F' - x lies in U.  Multiplicity m: each adjoined x is above
+F'/2 >= m - 1/2.  A symmetric T is its own witness, as F' = F(T).  The
 exhaustive gap-subset DFS is the oracle behind
 ``oversemigroups_with_multiplicity``.
 
@@ -45,12 +49,13 @@ class CoverQuery:
 
 @dataclass(frozen=True)
 class CoverVerdict:
-    """Whether a symmetric cover exists, and the first one.
+    """Whether a symmetric cover exists, and the witness.
 
-    ``covered`` is the odd-gap criterion; ``witness`` is the first
-    symmetric cover in the order of ``oversemigroups_with_multiplicity``,
-    built greedily.  ``search_count`` is the number of feasibility checks
-    the greedy made: 0 when the base is uncovered or itself symmetric.
+    ``covered`` is the odd-gap criterion; ``witness`` is the cover built
+    from the base's largest odd gap F' (see the module docstring), the
+    base itself when it is symmetric.  ``search_count`` is the number of
+    gaps below F' that the witness adjoins: 0 when the base is uncovered
+    or itself symmetric.
     """
 
     covered: bool
@@ -117,27 +122,29 @@ def _iter_cover_masks(base: NumericalSemigroup) -> Iterator[int]:
             stack.append((child, 0, i + 1, len(window)))
 
 
-def _mask_is_symmetric(mask: int, upto: int) -> bool:
-    gaps = ~mask & ((1 << (upto + 1)) - 1)
-    return 2 * gaps.bit_count() == gaps.bit_length()  # 2 * genus == F + 1
-
-
 def _semigroup_from_mask(mask: int, upto: int, mult: int) -> NumericalSemigroup:
     """The semigroup of multiplicity ``mult`` with members ``mask`` in
     [0, upto].  A nonzero Apéry element w is a minimal generator unless
     w - v is a nonzero member for a nonzero Apéry element v, so the others
-    are the bits of the nonzero members shifted by each such v."""
+    are the bits of the nonzero members shifted by each such v.  With the
+    shift by ``mult`` the same sums show the mask closed under addition
+    (each member is its class's Apéry element plus a multiple of
+    ``mult``); InvariantViolation if one is missing."""
     bits = format(mask, "b")[::-1]  # bits[x] == "1" iff x <= upto is a member
     apery = []
     for r in range(mult):
         k = bits[r::mult].find("1")
         apery.append(r + k * mult if k >= 0 else upto + 1 + (r - upto - 1) % mult)
-    top = max(apery)
-    nonzero = (mask | -(1 << (upto + 1))) & ((2 << top) - 2)  # the members in [1, top]
-    sums = 0
+    reach = max(*apery, upto)
+    nonzero = (mask | -(1 << (upto + 1))) & ((2 << reach) - 2)  # the members in [1, reach]
+    sums = (nonzero | 1) << mult
     for v in apery:
         if v:
             sums |= nonzero << v
+    missing = sums & ~mask & ((1 << (upto + 1)) - 1)
+    if missing:
+        x = (missing & -missing).bit_length() - 1
+        raise InvariantViolation(f"members up to {upto} are not closed: {x} is a missing sum")
     gens = [w for w in sorted(apery) if w and not sums >> w & 1]
     return NumericalSemigroup((mult, *gens), tuple(apery))
 
@@ -159,15 +166,21 @@ def oversemigroups_with_multiplicity(
     return [_semigroup_from_mask(mask, s.frobenius, m) for mask in _iter_cover_masks(s)]
 
 
+def _largest_odd_gap(s: NumericalSemigroup) -> int:
+    """The largest odd gap of s, or -1 if it has none.  Class r holds the
+    gaps r, r + m, ..., apery[r] - m: for m odd one of its last two gaps is
+    odd, and for m even only the odd classes hold odd gaps."""
+    m, apery = s.multiplicity, s.apery
+    if m % 2:
+        return max(-1, *(a - m if (a - m) % 2 else a - 2 * m for a in apery))
+    return max(-1, *(a - m for a in apery[1::2]))
+
+
 def has_symmetric_cover(s: NumericalSemigroup) -> bool:
     """Whether a symmetric semigroup of multiplicity m(s) contains s: for
-    m >= 3, iff s has an odd gap F' >= 2m - 1.  Class r holds the gaps r,
-    r + m, ..., apery[r] - m: its largest odd gap, if any, is one of the last two."""
+    m >= 3, iff s has an odd gap F' >= 2m - 1.  O(m) on the Apéry set."""
     m = s.multiplicity
-    if m < 3:
-        return True
-    tops = (a - m if (a - m) % 2 else a - 2 * m for a in s.apery)
-    return any(t % 2 and t >= 2 * m - 1 for t in tops)
+    return m < 3 or _largest_odd_gap(s) >= 2 * m - 1
 
 
 def _adjoin(mask: int, x: int, full: int) -> int:
@@ -179,66 +192,28 @@ def _adjoin(mask: int, x: int, full: int) -> int:
     return mask
 
 
-def _feasible(gaps: int, x: int, mult: int, frob: int, odd: int) -> bool:
-    """Whether some symmetric cover of multiplicity ``mult`` contains the
-    semigroup with gaps ``gaps`` and has exactly its gaps up to ``x``: iff
-    an odd gap F' >= 2*mult - 1 has no gap in (F', x] and no pair y, F' - y
-    of gaps up to x, for then the Rosales-Branco steps adjoin only gaps
-    above x.  The pair test is a shift and an AND on the mirrored gaps."""
-    low = gaps & ((2 << x) - 1)
-    floor = max(2 * mult - 1, low.bit_length() - 1)
-    cands = gaps & odd & ~((1 << floor) - 1)
-    if cands.bit_length() - 1 > 2 * x:  # no pair fits below x
-        return True
-    rev = int(format(low, f"0{frob + 1}b")[::-1], 2)  # bit frob - y iff y is a low gap
-    while cands:
-        f = cands.bit_length() - 1
-        if not low & (rev >> (frob - f)):
-            return True
-        cands ^= 1 << f
-    return False
-
-
-def _first_symmetric_cover(base: NumericalSemigroup) -> tuple[int, int]:
-    """Mask of the first symmetric cover of a covered base, in lexicographic
-    order of the adjoined gaps, and the number of feasibility checks.
-
-    One ascending walk over the gaps x of the closure ``closed`` from m: x
-    is adjoined when a cover stays feasible.  It stops at the first gap (or
-    F + 1) with ``closed`` symmetric and no non-base member at or above it:
-    as in the DFS, members below x are settled, so those are the forced
-    ones, and adjoining a forced member leaves ``closed`` unchanged."""
-    m, frob = base.multiplicity, base.frobenius
-    full = (1 << (frob + 1)) - 1
-    base_mask = closed = _member_mask(base)
-    odd = int("10" * (frob + 2), 2) & full
-    x, checks = m, 0  # gaps below x are settled
-    while True:
-        gaps = (full ^ closed) >> x << x | full + 1  # bit F + 1 stands for "past F"
-        x = (gaps & -gaps).bit_length() - 1
-        if not (closed ^ base_mask) >> x and _mask_is_symmetric(closed, frob):
-            return closed, checks
-        if x > frob:
-            raise InvariantViolation(f"no symmetric cover extends the prefix of {base}")
-        checks += 1
-        trial = _adjoin(closed, x, full)
-        if _feasible(full ^ trial, x, m, frob, odd):
-            closed = trial
-        x += 1
+def _cover_mask(low: int, f: int) -> int:
+    """Members over [0, f] of T ∪ {x in (f/2, f] : f - x not in T}, for the
+    members ``low`` of T over [0, f]."""
+    mirror = int(format(low, f"0{f + 1}b")[::-1], 2)  # bit x iff f - x is a member
+    return low | ((1 << (f + 1)) - (1 << (f // 2 + 1))) & ~mirror
 
 
 def symmetric_cover(q: CoverQuery) -> CoverVerdict:
     """Decide by the odd-gap criterion whether a symmetric semigroup of
-    multiplicity ``target_mult`` contains the base, and build the first one
-    in the order of ``oversemigroups_with_multiplicity``.  The witness is
-    checked before it is returned; InvariantViolation if it is no such cover."""
+    multiplicity ``target_mult`` contains the base, and build the witness
+    from the base's largest odd gap F': the base, each x in (F'/2, F'] with
+    F' - x not in the base, and everything above F'.  The module docstring
+    proves it closed, symmetric and of multiplicity m; each is checked
+    before it is returned, with InvariantViolation if it fails."""
     base = q.base
     _require_multiplicity(base, q.target_mult)
     if not has_symmetric_cover(base):
         return CoverVerdict(False, None, 0)
-    mask, checks = _first_symmetric_cover(base)
-    m = base.multiplicity
-    witness = _semigroup_from_mask(mask, base.frobenius, m)
+    m, f = base.multiplicity, _largest_odd_gap(base)
+    low = _member_mask(base) & ((1 << (f + 1)) - 1)
+    mask = _cover_mask(low, f)
+    witness = _semigroup_from_mask(mask, f, m)  # checks the closure
     # O(m) on the Apéry set: no member in (0, m), symmetric, and above the base
     if not (
         all(a > m for a in witness.apery[1:])
@@ -246,7 +221,7 @@ def symmetric_cover(q: CoverQuery) -> CoverVerdict:
         and all(g in witness for g in base.minimal_gens)
     ):
         raise InvariantViolation(f"{witness} is no symmetric cover of {base} of multiplicity {m}")
-    return CoverVerdict(True, witness, checks)
+    return CoverVerdict(True, witness, (mask & ~low).bit_count())
 
 
 def _bits(mask: int) -> Iterator[int]:

@@ -35,10 +35,7 @@ from hnlab import oversemigroups
 from hnlab.cli import main
 from hnlab.oversemigroups import (
     _family_masks,
-    _feasible,
     _iter_cover_masks,
-    _mask_is_symmetric,
-    _member_mask,
     _semigroup_from_mask,
     _symmetric_mask,
     _third_entries,
@@ -76,14 +73,24 @@ def members_upto_frobenius(s, frob: int) -> frozenset[int]:
     return frozenset(x for x in range(frob + 1) if s.contains(x))
 
 
-def dfs_first_symmetric_cover(base):
-    """The exhaustive oracle: the first symmetric cover that the gap-subset
-    DFS meets, in the order of oversemigroups_with_multiplicity, or None."""
-    frob = base.frobenius
-    for mask in _iter_cover_masks(base):
-        if _mask_is_symmetric(mask, frob):
-            return _semigroup_from_mask(mask, frob, base.multiplicity)
-    return None
+def exhaustive_has_symmetric_cover(base) -> bool:
+    """The exhaustive oracle: whether the gap-subset DFS lists a symmetric
+    oversemigroup, one whose gaps up to F(base) number (F + 1) / 2 for F
+    the largest of them."""
+    full = (1 << (base.frobenius + 1)) - 1
+    return any(
+        2 * (full ^ mask).bit_count() == (full ^ mask).bit_length()
+        for mask in _iter_cover_masks(base)
+    )
+
+
+def plain_set_cover(base) -> tuple[int, frozenset[int]]:
+    """The witness on plain sets: F' the largest odd gap, and the members up
+    to F' of the base plus each x in (F'/2, F'] with F' - x not in the base."""
+    gaps = set(profile(base).gaps)
+    f = max((g for g in gaps if g % 2), default=-1)
+    members = {x for x in range(f + 1) if x not in gaps}
+    return f, frozenset(members | {x for x in range(f + 1) if 2 * x > f and f - x not in members})
 
 
 ORACLE_BASES = [
@@ -185,7 +192,7 @@ def test_unsupported_multiplicity():
 def test_cover_known_values():
     v = symmetric_cover(CoverQuery(from_generators([3, 7, 8]), 3))
     assert v.covered and v.witness.minimal_gens == (3, 4)
-    assert v.search_count == 1  # adjoining 4 is feasible and closes up symmetric
+    assert v.search_count == 1  # F' = F = 5 and 5 - 4 is a gap: 4 is adjoined
 
     v = symmetric_cover(CoverQuery(from_generators([3, 4, 5]), 3))
     assert not v.covered and v.witness is None and v.search_count == 0
@@ -193,44 +200,64 @@ def test_cover_known_values():
     v = symmetric_cover(CoverQuery(from_generators([4, 5, 11]), 4))
     assert v.covered and v.witness.minimal_gens == (4, 5, 6)
 
-    v = symmetric_cover(CoverQuery(from_generators([4, 5, 6]), 4))
-    assert v.covered and v.witness.minimal_gens == (4, 5, 6) and v.search_count == 0
+    # a symmetric base is its own witness, at every multiplicity
+    for gens in ([4, 5, 6], [2, 9], [1]):
+        v = symmetric_cover(CoverQuery(from_generators(gens), gens[0]))
+        assert v.covered and v.witness.minimal_gens == tuple(gens) and v.search_count == 0
 
-    # deep window: one greedy step per adjoined gap, no recursion
+    # F' = F = 2159: adjoining the 26 gaps x in (F/2, F] with F - x a gap
+    # takes one more minimal generator
     v = symmetric_cover(CoverQuery(from_generators([80, 81, 83]), 80))
-    assert v.covered and v.witness.minimal_gens == tuple(range(80, 159))
-    assert v.search_count == 77
+    assert v.covered and v.witness.minimal_gens == (80, 81, 83, 1081)
+    assert v.witness.frobenius == 2159 and v.search_count == 26
+
+
+# <5,12,13> (F' = 21) with 7 for its mirror 14: symmetric, closed under
+# adding 5 and above the base, but 7 + 7 = 14 is missing
+NOT_CLOSED = sum(1 << x for x in (0, 5, 7, 10, 12, 13, 15, 17, 18, 19, 20))
 
 
 def test_a_witness_that_is_no_symmetric_cover_is_caught(monkeypatch, capsys):
-    # A greedy that handed back the base itself: <3,7,8> is covered but not
-    # symmetric, so the witness check fails, in the library and through main.
-    monkeypatch.setattr(
-        oversemigroups, "_first_symmetric_cover", lambda base: (_member_mask(base), 0)
-    )
-    with pytest.raises(InvariantViolation):
-        symmetric_cover(CoverQuery(from_generators([3, 7, 8]), 3))
-    assert main(["sgp", "sym-cover", "3", "7", "8", "--mult", "3", "--format", "json"]) == 3
-    assert json.loads(capsys.readouterr().out)["error"]["code"] == "InvariantViolation"
+    # a construction that hands back the base itself (<3,7,8> is covered but
+    # not symmetric) or a mask that is not closed fails the witness check,
+    # in the library and through main
+    cases = (([3, 7, 8], lambda low, f: low), ([5, 12, 13], lambda low, f: NOT_CLOSED))
+    for gens, construction in cases:
+        monkeypatch.setattr(oversemigroups, "_cover_mask", construction)
+        with pytest.raises(InvariantViolation):
+            symmetric_cover(CoverQuery(from_generators(gens), gens[0]))
+        argv = ["sgp", "sym-cover", *map(str, gens), "--mult", str(gens[0]), "--format", "json"]
+        assert main(argv) == 3
+        assert json.loads(capsys.readouterr().out)["error"]["code"] == "InvariantViolation"
 
 
 def test_cover_witnesses_beyond_the_search():
-    # <25,41,49>: the DFS witness, 32,643rd in search order; <40,67,79>: the
-    # DFS does not finish; <800,801> (F = 639,199) is symmetric, so it is its
-    # own witness with no feasibility check; in <499,999,1499> (F = 372,752)
-    # the 498 adjoined gaps force about 185,500 more members.  Each must take
-    # well under a second.
-    for gens, witness, checks in (
-        ([25, 41, 49], (*range(25, 33), *range(41, 50)), 23),
-        ([40, 67, 79], (*range(40, 53), *range(66, 80)), 38),
+    # <40,67,79>: the DFS does not finish; <800,801> (F = 639,199) is
+    # symmetric, so it is its own witness; the last three have F up to
+    # 972,600, near the default cap of 1,000,000.  Each must take well
+    # under a second.
+    for gens, witness, adjoined in (
+        ([25, 41, 49], (25, 41, 49, 204, 212, 220, 228), 15),
+        ([40, 67, 79], (40, 67, 79, 416, 429, 443), 20),
         ([800, 801], (800, 801), 0),
-        ([499, 999, 1499], tuple(range(499, 997)), 498),
+        ([499, 999, 1499], (499, 999, 1499, 186376, 186876, 187376), 373),
+        ([997, 1999, 2999], (997, 1999, 2999, 191937, 191938, 192936, 192937, 192938), 434),
+        (
+            [1297, 2599, 3899],
+            (1297, 2599, 3899, 322318, 322319, 322320, 322321, 323619, 323620),
+            886,
+        ),
+        (
+            [1597, 3199, 4799],
+            (1597, 3199, 4799, *range(486299, 486304), 487901, 487902, 487903, 489503),
+            1494,
+        ),
     ):
         started = time.perf_counter()
         v = symmetric_cover(CoverQuery(from_generators(gens), gens[0]))
         elapsed = time.perf_counter() - started
         assert v.covered and v.witness.minimal_gens == witness, gens
-        assert v.search_count == checks, gens
+        assert v.search_count == adjoined, gens
         assert elapsed < 1.0, (gens, elapsed)
 
 
@@ -242,15 +269,10 @@ def test_cover_verdict_is_consistent_with_enumeration():
         symmetric_ones = [u for u in all_covers if is_symmetric(u)]
         assert verdict.covered == bool(symmetric_ones)
         if verdict.covered:
-            assert is_symmetric(verdict.witness)
-            assert verdict.witness.multiplicity == base.multiplicity
-            assert all(verdict.witness.contains(g) for g in base.minimal_gens)
-            # the witness is the first symmetric cover in enumeration order
-            assert verdict.witness == symmetric_ones[0]
-            rank = all_covers.index(verdict.witness)
-            assert not any(is_symmetric(u) for u in all_covers[:rank])
+            # a listed symmetric cover, with the largest odd gap as Frobenius number
+            assert verdict.witness in symmetric_ones
+            assert verdict.witness.frobenius == max(g for g in profile(base).gaps if g % 2)
         else:
-            # uncovered: the criterion decides, and the greedy never runs
             assert verdict.search_count == 0
 
 
@@ -274,27 +296,13 @@ def test_cover_gate_population_is_nontrivial():
 def test_cover_matches_the_exhaustive_search_up_to_frobenius_70():
     for base in GATE_BASES:
         verdict = symmetric_cover(CoverQuery(base, base.multiplicity))
-        oracle = dfs_first_symmetric_cover(base)
-        assert has_symmetric_cover(base) == verdict.covered == (oracle is not None), base
-        assert verdict.witness == oracle, base
-
-
-def test_feasibility_test_is_exact():
-    # _feasible(C, x) for x in C: some symmetric cover of C has exactly the
-    # gaps of C up to x, decided here by the exhaustive enumeration
-    for base in GATE_BASES:
-        m, frob = base.multiplicity, base.frobenius
-        if m < 3 or frob > 30:
-            continue
-        gaps = profile(base).gaps
-        mask = sum(1 << g for g in gaps)
-        odd = sum(1 << y for y in range(1, frob + 1, 2))
-        covers = [u for u in oversemigroups_with_multiplicity(base, m) if is_symmetric(u)]
-        for x in range(m, frob):
-            if x in base:
-                low = [g for g in gaps if g <= x]
-                expected = any([g for g in profile(u).gaps if g <= x] == low for u in covers)
-                assert _feasible(mask, x, m, frob, odd) == expected, (base, x)
+        covered = exhaustive_has_symmetric_cover(base)
+        assert has_symmetric_cover(base) == verdict.covered == covered, base
+        if covered:
+            f, members = plain_set_cover(base)
+            assert verdict.witness.frobenius == f, base
+            assert members_upto_frobenius(verdict.witness, f) == members, base
+            assert verdict.search_count == len(members) - sum(x in base for x in range(f + 1))
 
 
 @settings(max_examples=60, deadline=None)
@@ -313,6 +321,8 @@ def test_cover_is_fast_up_to_frobenius_4000(m, offsets):
         w = verdict.witness
         assert is_symmetric(w) and w.multiplicity == m
         assert all(g in w for g in base.minimal_gens)
+        # closed: the Apéry relaxation of its generators gives the same set
+        assert from_generators(w.minimal_gens).apery == w.apery
 
 
 def test_cover_monotone_in_inclusion():
@@ -502,10 +512,7 @@ def test_verify_delta_parallel_matches_serial():
 @pytest.fixture(scope="module")
 def covered_upto_30() -> dict[tuple[int, int, int], bool]:
     """The exhaustive oracle: the gap-subset DFS on every candidate triple up to 30."""
-    return {
-        t: dfs_first_symmetric_cover(from_generators(t)) is not None
-        for t in candidate_triples(30)
-    }
+    return {t: exhaustive_has_symmetric_cover(from_generators(t)) for t in candidate_triples(30)}
 
 
 def test_verify_delta_matches_exhaustive_oracle(covered_upto_30):
