@@ -21,15 +21,16 @@ The census decides the third entries of each pair (m1, m2) in one mask:
 the m3 outside <m1, m2> that share no prime with gcd(m1, m2).
 ``candidate_triples`` lists its bits and the census counts them.  For
 every m1 the census cuts the mask to the gaps of each witness family of
-m1 (built as masks and checked symmetric on every call) that has m2 as a
-member, a pigeonhole that leaves exactly DELTA with the paper's
-families; the criterion decides what is left.
+m1 ({0} and runs linear in m1, checked by sums of runs on every call)
+that has m2 as a member, a pigeonhole that leaves exactly DELTA with the
+paper's families; the criterion decides what is left.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from typing import Iterator
 
 from .errors import DomainError, InvariantViolation, UnsupportedMultiplicity
@@ -37,6 +38,8 @@ from .semigroup import NumericalSemigroup, from_generators, is_symmetric, profil
 
 #: The four triples not contained in any symmetric semigroup of equal multiplicity.
 DELTA: tuple[tuple[int, int, int], ...] = ((3, 4, 5), (3, 5, 7), (4, 5, 7), (4, 7, 9))
+#: The largest census bound; the census does about bound**3 / 64 mask work.
+CENSUS_MAX_BOUND = 2000
 
 
 @dataclass(frozen=True)
@@ -267,12 +270,14 @@ def verify_delta(bound: int, jobs: int = 1) -> DeltaReport:
     The triples are counted off each pair's third-entry mask, not listed.
     A witness family of m1 that has m2 as a member contains the triple
     unless m3 is one of its gaps, so the mask is cut to the gaps of every
-    such family (the families are built and checked on each call); the
-    bits left, the DELTA triples, go to the odd-gap criterion.  ``jobs`` is
-    accepted and ignored: the census runs in one process.
+    such family (its runs are checked on each call); the bits left, the
+    DELTA triples, go to the odd-gap criterion.  ``jobs`` is accepted and
+    ignored: the census runs in one process, up to CENSUS_MAX_BOUND.
     """
     if bound < 3:
         raise DomainError(f"bound must be at least 3, got {bound}")
+    if bound > CENSUS_MAX_BOUND:
+        raise DomainError(f"bound must be at most {CENSUS_MAX_BOUND}, got {bound}")
     examined = searched = 0
     flagged = []
     for m1 in range(3, bound - 1):
@@ -290,46 +295,44 @@ def verify_delta(bound: int, jobs: int = 1) -> DeltaReport:
     return DeltaReport(bound, tuple(flagged), expected, examined, searched)
 
 
-def _symmetric_mask(gens: list[int], frob: int) -> int:
-    """Membership mask over [0, frob] of <gens>, built by adjoining each
-    generator that is not yet a member over [0, frob + gens[0]].  Raises
-    InvariantViolation unless the semigroup is symmetric with Frobenius
-    number ``frob``: frob is its largest gap there, since the gens[0]
-    members above it leave no gap beyond, and its genus is (frob + 1) / 2."""
-    full = (2 << (frob + gens[0])) - 1
-    mask = 1
-    for g in gens:
-        if not mask >> g & 1:
-            mask = _adjoin(mask, g, full)
-    gaps = full ^ mask
-    if gaps.bit_length() != frob + 1 or 2 * gaps.bit_count() != frob + 1:
-        raise InvariantViolation(
-            f"family {sorted(set(gens))} should be symmetric with Frobenius {frob}, got largest "
-            f"gap {gaps.bit_length() - 1} and genus {gaps.bit_count()} up to {frob + gens[0]}"
-        )
-    return mask & (full >> gens[0])
+def _symmetric_mask(runs: list[tuple[int, int]], m1: int, frob: int) -> int:
+    """Membership mask over [0, frob] of the runs [a, b] in ``runs`` and all
+    above frob.  Raises InvariantViolation unless the set is closed (two
+    runs sum to the run [a + c, b + d], so the check is exact), its members
+    up to m1 are {0, m1}, frob is a gap and (frob + 1) / 2 members lie below
+    it: a symmetric semigroup of multiplicity m1 and Frobenius number frob."""
+    mask = sums = 0
+    for a, b in runs:
+        mask |= (2 << b) - (1 << a) & (2 << frob) - 1
+    for (a, b), (c, d) in combinations_with_replacement(runs, 2):
+        if a + c <= frob:
+            sums |= (2 << min(b + d, frob)) - (1 << a + c)
+    low = (mask | -(2 << frob)) & (2 << m1) - 1  # the members up to m1
+    if sums & ~mask or low != 1 | 1 << m1 or mask >> frob & 1 or 2 * mask.bit_count() != frob + 1:
+        raise InvariantViolation(f"runs {runs} are not symmetric of multiplicity {m1}, F = {frob}")
+    return mask
 
 
 def _family_masks(m1: int) -> list[tuple[int, int]]:
     """Membership mask over [0, F] and Frobenius number F of each witness
-    family of m1 >= 3, each checked symmetric with that F: all four for
-    m1 >= 4, the first two for m1 = 3, where the last two formulas give
-    <3, 5, 7> and <3, 4>, whose Frobenius numbers are not 9."""
-    families: list[tuple[list[int], int]] = [
-        (list(range(m1, 2 * m1 - 1)), 2 * m1 - 1),
-        ([m1, *range(m1 + 2, 2 * m1)], 2 * m1 + 1),
-        ([m1, 2 * m1 - 1, *range(2 * m1 + 1, 3 * m1 - 3), 3 * m1 - 2], 4 * m1 - 3),
-        ([m1, m1 + 1, *range(m1 + 4, 2 * m1)], 2 * m1 + 3),
+    family of m1 >= 3: {0} and runs linear in m1, checked on every call by
+    ``_symmetric_mask``.  All four for m1 >= 4, the first two for m1 = 3,
+    where the last two formulas are not closed (3 + 3 = 6 is missing)."""
+    families = [
+        ([(0, 0), (m1, 2 * m1 - 2)], 2 * m1 - 1),
+        ([(0, 0), (m1, m1), (m1 + 2, 2 * m1)], 2 * m1 + 1),
+        ([(0, 0), (m1, m1), (2 * m1 - 1, 3 * m1 - 4), (3 * m1 - 2, 4 * m1 - 4)], 4 * m1 - 3),
+        ([(0, 0), (m1, m1 + 1), (m1 + 4, 2 * m1 + 2)], 2 * m1 + 3),
     ]
-    return [(_symmetric_mask(gens, frob), frob) for gens, frob in families[: 2 if m1 == 3 else 4]]
+    return [(_symmetric_mask(runs, m1, f), f) for runs, f in families[: 2 if m1 == 3 else 4]]
 
 
 def witness_families(m1: int) -> list[NumericalSemigroup]:
     """The four symmetric families of multiplicity m1 >= 5, one of which
-    contains each embedding-dimension-3 triple of that multiplicity, each
-    checked symmetric with its stated Frobenius number (2*m1 - 1,
-    2*m1 + 1, 4*m1 - 3, 2*m1 + 3) before being returned.  The census cuts
-    by the same formulas down to m1 = 3, where they leave DELTA."""
+    contains each embedding-dimension-3 triple of that multiplicity: runs,
+    not generators, checked by run sums to be symmetric with Frobenius
+    number 2*m1 - 1, 2*m1 + 1, 4*m1 - 3 and 2*m1 + 3.  The census cuts by
+    the same runs down to m1 = 3, where they leave DELTA."""
     if m1 < 5:
         raise DomainError(f"witness families are defined for multiplicity >= 5, got {m1}")
     return [_semigroup_from_mask(mask, frob, m1) for mask, frob in _family_masks(m1)]

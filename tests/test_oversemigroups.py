@@ -585,16 +585,94 @@ def test_witness_families_match_the_generated_semigroups():
 
 
 def test_family_builder_checks_symmetry_and_frobenius():
-    assert _symmetric_mask([5, 6, 7, 8], 9) == int("0111100001", 2)
-    for gens, frob in (
-        ([5, 6, 7], 9),  # Frobenius 9 but genus 6: not symmetric
-        ([5, 6, 7, 8], 11),  # the Frobenius number is 9
-        ([5, 6, 7, 8], 7),  # 9 is a gap above the stated Frobenius number
-        ([3, 5, 7], 9),  # the third formula at m1 = 3: Frobenius 4
-        ([3, 4], 9),  # the fourth formula at m1 = 3: Frobenius 5
+    assert _symmetric_mask([(0, 0), (5, 8)], 5, 9) == int("0111100001", 2)
+    for runs, m1, frob in (
+        ([(0, 0), (5, 7)], 5, 9),  # <5, 6, 7>: Frobenius 9 but 4 members below it, not symmetric
+        ([(0, 0), (5, 8), (10, 11)], 5, 11),  # <5, 6, 7, 8>: 11 is a member, F is 9
+        ([(0, 0), (5, 8)], 5, 7),  # <5, 6, 7, 8> has the gap 9 above 7, which is a member
+        ([(0, 0), (3, 3), (5, 5), (7, 8)], 3, 9),  # the third formula at m1 = 3: 3 + 3 missing
+        ([(0, 0), (3, 4), (7, 8)], 3, 9),  # the fourth formula at m1 = 3: 3 + 3 missing
+        ([(0, 0), (3, 3), (5, 6)], 5, 7),  # <3, 5> is symmetric, but 3 is a member below 5
     ):
         with pytest.raises(InvariantViolation):
-            _symmetric_mask(gens, frob)
+            _symmetric_mask(runs, m1, frob)
+    assert _symmetric_mask([(0, 0), (3, 3), (5, 6)], 3, 7) == int("01101001", 2)
+
+
+def brute_force_is_symmetric(runs: list[tuple[int, int]], m1: int, frob: int) -> bool:
+    """The runs and everything above frob, as a set: closed, members {0, m1}
+    up to m1, frob a gap and (frob + 1) / 2 members up to frob."""
+    members = {x for a, b in runs for x in range(a, b + 1) if x <= frob}
+    above = set(range(frob + 1, 2 * frob + 2))
+    closed = all(x + y in members | above for x in members for y in members if x + y <= frob)
+    low = {x for x in members | above if x <= m1}
+    return closed and low == {0, m1} and frob not in members and 2 * len(members) == frob + 1
+
+
+SMALL_SEMIGROUPS = [
+    s for s in map(from_generators, POPULATION) if 1 <= s.frobenius <= 40 and s.multiplicity > 1
+]
+
+
+def runs_of(s: NumericalSemigroup) -> list[tuple[int, int]]:
+    """The members of s up to its Frobenius number as maximal runs."""
+    runs: list[tuple[int, int]] = []
+    for x in range(s.frobenius):
+        if x in s and runs and runs[-1][1] == x - 1:
+            runs[-1] = (runs[-1][0], x)
+        elif x in s:
+            runs.append((x, x))
+    return runs
+
+
+@st.composite
+def run_lists(draw) -> tuple[list[tuple[int, int]], int, int]:
+    """(runs, m1, frob) with frob <= 40: the runs of a small semigroup, 0
+    among them, with up to two random runs added, and the semigroup's own
+    multiplicity and Frobenius number or nearby ones."""
+    s = draw(st.sampled_from(SMALL_SEMIGROUPS))
+    extra = draw(st.lists(st.tuples(st.integers(1, 44), st.integers(0, 8)), max_size=2))
+    m1 = s.multiplicity + draw(st.sampled_from([0, 0, -1, 1]))
+    frob = min(40, max(1, s.frobenius + draw(st.sampled_from([0, 0, -2, -1, 1, 2]))))
+    return runs_of(s) + [(a, a + n) for a, n in extra], m1, frob
+
+
+@settings(max_examples=400, deadline=None)
+@given(run_lists())
+def test_symmetric_mask_matches_the_set_oracle(case):
+    runs, m1, frob = case
+    try:
+        mask = _symmetric_mask(runs, m1, frob)
+    except InvariantViolation:
+        assert not brute_force_is_symmetric(runs, m1, frob)
+    else:
+        assert brute_force_is_symmetric(runs, m1, frob)
+        assert mask == sum(1 << x for x in range(frob + 1) if any(a <= x <= b for a, b in runs))
+
+
+def test_symmetric_mask_accepts_exactly_the_symmetric_semigroups():
+    assert len(SMALL_SEMIGROUPS) > 500
+    for s in SMALL_SEMIGROUPS:
+        runs, m1, frob = runs_of(s), s.multiplicity, s.frobenius
+        assert brute_force_is_symmetric(runs, m1, frob) == is_symmetric(s), s
+        try:
+            _symmetric_mask(runs, m1, frob)
+        except InvariantViolation:
+            assert not is_symmetric(s), s
+        else:
+            assert is_symmetric(s), s
+
+
+def test_family_gaps_above_m1_are_linear_and_disjoint():
+    for m1 in range(5, 301):
+        gaps = [
+            {x for x in range(m1 + 1, frob + 1) if not mask >> x & 1}
+            for mask, frob in _family_masks(m1)
+        ]
+        assert gaps[0] == {2 * m1 - 1}, m1
+        assert gaps[1] == {m1 + 1, 2 * m1 + 1}, m1
+        assert gaps[3] == {m1 + 2, m1 + 3, 2 * m1 + 3}, m1
+        assert not gaps[0] & gaps[1] and not gaps[0] & gaps[3] and not gaps[1] & gaps[3], m1
 
 
 def test_witness_families_reject_small_multiplicity():
