@@ -1,15 +1,17 @@
 """Command-line front end.
 
-Every invocation emits exactly one report, as stable text (default) or as a
-single JSON object with schema version "v1".  Payloads are derived from
-the library's result dataclasses.  The text report shows every value of
-the JSON ``result``, one ``key: value`` line each: nested keys are joined
-with ``.`` and the items of a list of objects are numbered from 1.  Lists
-are sorted and nothing time-dependent enters the payload (elapsed time
-goes to stderr).  Exit codes: 0 ok, 1 usage or parse failure, 2 domain
-precondition violated, 3 verification mismatch or internal error (any
-other exception: its traceback goes to stderr, never a bare crash).  A
-reader that closes stdout early (``| head``) leaves the exit code as is.
+Every invocation that parses emits exactly one report, as stable text
+(default) or as a single JSON object with schema version "v1"; a usage or
+parse failure (exit 1) prints argparse's usage to stderr and leaves stdout
+empty.  Payloads are derived from the library's result dataclasses.  The
+text report shows every value of the JSON ``result``, one ``key: value``
+line each: nested keys are joined with ``.`` and the items of a list of
+objects are numbered from 1.  Lists are sorted and nothing time-dependent
+enters the payload (elapsed time goes to stderr).  Exit codes: 0 ok, 1
+usage or parse failure, 2 domain precondition violated, 3 verification
+mismatch or internal error (any other exception: its traceback goes to
+stderr, never a bare crash).  A reader that closes stdout early
+(``| head``) leaves the exit code as is.
 
 The environment variable HNLAB_MAX_FROBENIUS (default 1000000) caps both
 the size of accepted generators and the Frobenius number of any semigroup
@@ -69,10 +71,6 @@ def _frobenius_cap() -> int:
     return cap
 
 
-def _semigroup_from_cli(gens: Sequence[int]) -> NumericalSemigroup:
-    return from_generators(gens, max_frobenius=_frobenius_cap())
-
-
 def _triple(text: str) -> tuple[int, int, int]:
     parts = text.split(",")
     if len(parts) != 3:
@@ -121,11 +119,11 @@ def _semigroup_payload(s: NumericalSemigroup) -> Result:
 
 
 def _cmd_sgp_analyze(args: argparse.Namespace) -> Result:
-    return _semigroup_payload(_semigroup_from_cli(args.gens))
+    return _semigroup_payload(from_generators(args.gens, max_frobenius=_frobenius_cap()))
 
 
 def _cmd_sgp_sym_cover(args: argparse.Namespace) -> Result:
-    s = _semigroup_from_cli(args.gens)
+    s = from_generators(args.gens, max_frobenius=_frobenius_cap())
     verdict = symmetric_cover(CoverQuery(s, args.mult))
     witness = list(verdict.witness.minimal_gens) if verdict.witness else None
     return {**_plain(verdict), "witness": witness}
@@ -231,18 +229,15 @@ def build_parser() -> argparse.ArgumentParser:
     sgp_sub = sgp.add_subparsers(dest="subcommand", required=True)
     p = sgp_sub.add_parser("analyze", parents=[common], help="full invariant report")
     p.add_argument("gens", nargs="+", type=_positive_int, metavar="GEN")
-    p.set_defaults(handler="_cmd_sgp_analyze")
     p = sgp_sub.add_parser("sym-cover", parents=[common], help="symmetric cover verdict and witness")
     p.add_argument("gens", nargs="+", type=_positive_int, metavar="GEN")
     p.add_argument("--mult", type=_positive_int, required=True,
                    help="required multiplicity of the cover (must equal the base's)")
-    p.set_defaults(handler="_cmd_sgp_sym_cover")
 
     delta = sub.add_parser("delta", help="uncovered-triple census")
     delta_sub = delta.add_subparsers(dest="subcommand", required=True)
     p = delta_sub.add_parser("verify", parents=[common], help="flag uncovered triples up to a bound")
     p.add_argument("--bound", type=_positive_int, required=True)
-    p.set_defaults(handler="_cmd_delta_verify")
 
     hn_p = sub.add_parser("hn", help="Herzog-Northcott ideal data")
     hn_sub = hn_p.add_subparsers(dest="subcommand", required=True)
@@ -251,10 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=_triple, required=True, metavar="B1,B2,B3")
     p.add_argument("--e", type=int, default=None,
                    help="ambient multiplicity for the classification verdict")
-    p.set_defaults(handler="_cmd_hn_build")
     p = hn_sub.add_parser("solve", parents=[common], help="invert a multiplier triple to exponents")
     p.add_argument("--m", type=_triple, required=True, metavar="M1,M2,M3")
-    p.set_defaults(handler="_cmd_hn_solve")
 
     cat_p = sub.add_parser("catalogue", help="worked decomposition examples")
     cat_sub = cat_p.add_subparsers(dest="subcommand", required=True)
@@ -262,18 +255,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", required=True)
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--m", type=_triple, required=True, metavar="M1,M2,M3")
-    p.set_defaults(handler="_cmd_catalogue_check")
 
     p = sub.add_parser("cases", parents=[common], help="decomposition shapes for a multiplicity")
     p.add_argument("--e", type=_positive_int, required=True)
-    p.set_defaults(handler="_cmd_cases")
     return parser
 
 
-_PARSER = build_parser()  # built once: leaves name their handler, looked up per call
+_PARSER = build_parser()
 
 #: Namespace entries that select or shape the report rather than feed it.
-_NOT_INPUTS = frozenset({"group", "subcommand", "format", "handler"})
+_NOT_INPUTS = frozenset({"group", "subcommand", "format"})
 
 
 def _text(report: dict[str, Any]) -> str:
@@ -304,7 +295,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     started = time.perf_counter()
     result, error, exit_code = None, None, EXIT_OK
     try:
-        result = globals()[args.handler](args)
+        # by name, per call, so a test can patch it: "sgp sym-cover" runs _cmd_sgp_sym_cover
+        result = globals()["_cmd_" + report["command"].replace(" ", "_").replace("-", "_")](args)
     except DomainError as exc:
         error, exit_code = exc, EXIT_DOMAIN
     except InvariantViolation as exc:

@@ -18,12 +18,13 @@ exhaustive gap-subset DFS is the oracle behind
 ``oversemigroups_with_multiplicity``.
 
 The census decides the third entries of each pair (m1, m2) in one mask:
-the m3 outside <m1, m2> that share no prime with gcd(m1, m2).
-``candidate_triples`` lists its bits and the census counts them.  For
-every m1 the census cuts the mask to the gaps of each witness family of
-m1 ({0} and runs linear in m1, checked by sums of runs on every call)
-that has m2 as a member, a pigeonhole that leaves exactly DELTA with the
-paper's families; the criterion decides what is left.
+the m3 outside <m1, m2> that share no prime with gcd(m1, m2).  The
+census counts its bits.  For every m1 the census cuts the mask to the
+gaps of each witness family of m1 ({0} and runs linear in m1, checked by
+sums of runs on every call) that has m2 as a member, a pigeonhole that
+leaves exactly DELTA with the paper's families; the criterion decides
+what is left.  The cover witness and the families pass one check of
+symmetry, ``_is_symmetric_mask``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from itertools import combinations_with_replacement
 from typing import Iterator
 
 from .errors import DomainError, InvariantViolation, UnsupportedMultiplicity
-from .semigroup import NumericalSemigroup, from_generators, is_symmetric, profile
+from .semigroup import NumericalSemigroup, from_generators, profile
 
 #: The four triples not contained in any symmetric semigroup of equal multiplicity.
 DELTA: tuple[tuple[int, int, int], ...] = ((3, 4, 5), (3, 5, 7), (4, 5, 7), (4, 7, 9))
@@ -214,15 +215,12 @@ def symmetric_cover(q: CoverQuery) -> CoverVerdict:
     if not has_symmetric_cover(base):
         return CoverVerdict(False, None, 0)
     m, f = base.multiplicity, _largest_odd_gap(base)
+    if f < 0:  # N = <1> has no odd gap and is its own witness
+        return CoverVerdict(True, base, 0)
     low = _member_mask(base) & ((1 << (f + 1)) - 1)
     mask = _cover_mask(low, f)
     witness = _semigroup_from_mask(mask, f, m)  # checks the closure
-    # O(m) on the Apéry set: no member in (0, m), symmetric, and above the base
-    if not (
-        all(a > m for a in witness.apery[1:])
-        and is_symmetric(witness)
-        and all(g in witness for g in base.minimal_gens)
-    ):
+    if low & ~mask or not _is_symmetric_mask(mask, m, f):  # above the base, and symmetric
         raise InvariantViolation(f"{witness} is no symmetric cover of {base} of multiplicity {m}")
     return CoverVerdict(True, witness, (mask & ~low).bit_count())
 
@@ -237,9 +235,9 @@ def _bits(mask: int) -> Iterator[int]:
 
 def _third_entries(m1: int, bound: int) -> Iterator[tuple[int, int]]:
     """For each m2 in (m1, bound) that m1 does not divide, m2 and the mask of
-    the m3 in (m2, bound] that complete the triples of
-    ``candidate_triples(bound)``: m3 outside <m1, m2> and sharing no prime
-    with d = gcd(m1, m2).  <m1, m2> is m2 adjoined to the multiples of m1,
+    the m3 in (m2, bound] that complete the embedding-dimension-3 triples
+    with gcd 1: m3 outside <m1, m2> and sharing no prime with
+    d = gcd(m1, m2).  <m1, m2> is m2 adjoined to the multiples of m1,
     and the numbers sharing a prime with d are the multiples of the
     divisors > 1 of d, which are the divisors of m1 that divide m2."""
     full = (2 << bound) - 1
@@ -252,15 +250,6 @@ def _third_entries(m1: int, bound: int) -> Iterator[tuple[int, int]]:
                 if m2 % q == 0:
                     taken |= mask
             yield m2, (full ^ taken) >> (m2 + 1) << (m2 + 1)
-
-
-def candidate_triples(bound: int) -> Iterator[tuple[int, int, int]]:
-    """Yield, in lexicographic order, the triples 3 <= m1 < m2 < m3 <= bound
-    with gcd 1 and embedding dimension exactly 3 (m2 not a multiple of m1,
-    m3 outside <m1, m2>)."""
-    for m1 in range(3, bound - 1):
-        for m2, third in _third_entries(m1, bound):
-            yield from ((m1, m2, m3) for m3 in _bits(third))
 
 
 def verify_delta(bound: int, jobs: int = 1) -> DeltaReport:
@@ -295,20 +284,27 @@ def verify_delta(bound: int, jobs: int = 1) -> DeltaReport:
     return DeltaReport(bound, tuple(flagged), expected, examined, searched)
 
 
+def _is_symmetric_mask(mask: int, m: int, frob: int) -> bool:
+    """Whether the closed set with members ``mask`` over [0, frob] and all
+    above frob is symmetric of multiplicity m and Frobenius number frob:
+    its members up to m are {0, m}, frob is a gap and (frob + 1) / 2
+    members lie below it.  Needs frob >= 0."""
+    low = (mask | -(2 << frob)) & (2 << m) - 1  # the members up to m
+    return low == 1 | 1 << m and not mask >> frob & 1 and 2 * mask.bit_count() == frob + 1
+
+
 def _symmetric_mask(runs: list[tuple[int, int]], m1: int, frob: int) -> int:
     """Membership mask over [0, frob] of the runs [a, b] in ``runs`` and all
     above frob.  Raises InvariantViolation unless the set is closed (two
-    runs sum to the run [a + c, b + d], so the check is exact), its members
-    up to m1 are {0, m1}, frob is a gap and (frob + 1) / 2 members lie below
-    it: a symmetric semigroup of multiplicity m1 and Frobenius number frob."""
+    runs sum to the run [a + c, b + d], so the check is exact) and is
+    symmetric of multiplicity m1 and Frobenius number frob."""
     mask = sums = 0
     for a, b in runs:
         mask |= (2 << b) - (1 << a) & (2 << frob) - 1
     for (a, b), (c, d) in combinations_with_replacement(runs, 2):
         if a + c <= frob:
             sums |= (2 << min(b + d, frob)) - (1 << a + c)
-    low = (mask | -(2 << frob)) & (2 << m1) - 1  # the members up to m1
-    if sums & ~mask or low != 1 | 1 << m1 or mask >> frob & 1 or 2 * mask.bit_count() != frob + 1:
+    if sums & ~mask or not _is_symmetric_mask(mask, m1, frob):
         raise InvariantViolation(f"runs {runs} are not symmetric of multiplicity {m1}, F = {frob}")
     return mask
 

@@ -95,9 +95,7 @@ class TraitReport:
     almost_symmetric: bool
 
 
-def _apery_round_robin(
-    gens: tuple[int, ...], max_frobenius: int | None = None
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _apery_round_robin(gens: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Apéry set of <gens> with respect to ``gens[0]``, and the generators
     that were not already in the semigroup of those before them.
 
@@ -106,8 +104,7 @@ def _apery_round_robin(
     once, starting from the cycle's least entry.  One pass, O(m * len(gens)).
     A generator with g >= dist[g mod m] already lies in the semigroup of the
     earlier ones and is skipped, so for sorted input the kept generators are
-    the minimal system.  Raises FrobeniusCapExceeded once the pass shows a
-    Frobenius number beyond ``max_frobenius``.
+    the minimal system.
     """
     m = gens[0]
     dist: list[int | float] = [_INF] * m
@@ -129,13 +126,7 @@ def _apery_round_robin(
                     n = dist[r]
                 else:
                     dist[r] = n
-    apery = tuple(dist)  # gcd 1: every class is reached, every entry an int
-    frob = max(apery) - m
-    if max_frobenius is not None and frob > max_frobenius:
-        raise FrobeniusCapExceeded(
-            f"Frobenius number {frob} exceeds the cap of {max_frobenius}"
-        )
-    return apery, tuple(kept)
+    return tuple(dist), tuple(kept)  # gcd 1: every class is reached, every entry an int
 
 
 def from_generators(
@@ -147,7 +138,8 @@ def from_generators(
     idempotent: feeding back ``minimal_gens`` reproduces the same object.
     Raises EmptyInput on an empty list, InvalidGenerator on an entry that is
     not a positive integer or exceeds ``max_frobenius`` (before the Apéry
-    pass), and NonCofinite when gcd != 1.
+    pass), NonCofinite when gcd != 1, and FrobeniusCapExceeded when the
+    pass shows a Frobenius number beyond ``max_frobenius``.
     """
     raw = tuple(gens)
     if not raw:
@@ -162,8 +154,13 @@ def from_generators(
         raise NonCofinite(
             f"gcd of generators is {gcd(*canon)}; a numerical semigroup needs gcd 1"
         )
-    apery, minimal = _apery_round_robin(canon, max_frobenius)
-    return NumericalSemigroup(minimal, apery)
+    apery, minimal = _apery_round_robin(canon)
+    s = NumericalSemigroup(minimal, apery)
+    if max_frobenius is not None and s.frobenius > max_frobenius:
+        raise FrobeniusCapExceeded(
+            f"Frobenius number {s.frobenius} exceeds the cap of {max_frobenius}"
+        )
+    return s
 
 
 def apery_set(s: NumericalSemigroup, n: int) -> tuple[int, ...]:

@@ -28,7 +28,7 @@ from hnlab import (
     verify_example,
 )
 from hnlab import cases
-from hnlab.catalogue import ExampleSpec
+from hnlab.catalogue import ExampleSpec, _parse_factor
 
 # ── taxonomy oracle: independent enumeration of (sigma, length) multisets ────
 
@@ -289,3 +289,16 @@ def test_wpower_factors_are_skipped_not_failed():
     assert len(skipped) == 1
     assert "length 3" in skipped[0].subject or "length 3" in skipped[0].detail
     assert report.verdict
+
+
+@pytest.mark.parametrize(
+    "token",
+    [
+        "bin:1.0.0.0@1,1,1,1",  # a binomial with one monomial
+        "form:1.0.0.0@2,2,2,2",  # a form with one monomial
+        "foo:1.0.0.0+0.1.0.0@1,1,1,1",  # an unknown kind
+    ],
+)
+def test_malformed_factor_tokens_are_rejected(token):
+    with pytest.raises(InvalidGenerator, match="malformed factor token"):
+        _parse_factor(token)

@@ -8,6 +8,7 @@ import time
 from functools import cache
 from itertools import combinations, groupby
 from math import gcd
+from typing import Iterator
 
 import pytest
 from hypothesis import assume, given, settings
@@ -21,7 +22,6 @@ from hnlab import (
     DomainError,
     InvariantViolation,
     UnsupportedMultiplicity,
-    candidate_triples,
     from_generators,
     has_symmetric_cover,
     is_symmetric,
@@ -34,6 +34,7 @@ from hnlab import (
 from hnlab import oversemigroups
 from hnlab.cli import main
 from hnlab.oversemigroups import (
+    _bits,
     _family_masks,
     _iter_cover_masks,
     _semigroup_from_mask,
@@ -212,16 +213,29 @@ def test_cover_known_values():
     assert v.witness.frobenius == 2159 and v.search_count == 26
 
 
+def members(*xs: int) -> int:
+    return sum(1 << x for x in xs)
+
+
 # <5,12,13> (F' = 21) with 7 for its mirror 14: symmetric, closed under
 # adding 5 and above the base, but 7 + 7 = 14 is missing
 NOT_CLOSED = sum(1 << x for x in (0, 5, 7, 10, 12, 13, 15, 17, 18, 19, 20))
 
 
 def test_a_witness_that_is_no_symmetric_cover_is_caught(monkeypatch, capsys):
-    # a construction that hands back the base itself (<3,7,8> is covered but
-    # not symmetric) or a mask that is not closed fails the witness check,
-    # in the library and through main
-    cases = (([3, 7, 8], lambda low, f: low), ([5, 12, 13], lambda low, f: NOT_CLOSED))
+    # a construction that hands back a set failing one check each fails the
+    # witness check, in the library and through main
+    cases = (
+        # the base itself: <3,7,8> is covered, but has 2 members up to F' = 5, not 3
+        ([3, 7, 8], lambda low, f: low),
+        ([5, 12, 13], lambda low, f: NOT_CLOSED),
+        # <2,9> over [0, 7]: closed, symmetric, above <4,9,11>, but 2 is below m = 4
+        ([4, 9, 11], lambda low, f: members(0, 2, 4, 6)),
+        # <3,5,7> (F = 4) over [0, 5]: closed, 3 members, but F' = 5 is a member
+        ([3, 7, 8], lambda low, f: members(0, 3, 5)),
+        # <5,6,9> over [0, 13]: symmetric of multiplicity 5 and F = 13, but without 7
+        ([5, 7, 9], lambda low, f: members(0, 5, 6, 9, 10, 11, 12)),
+    )
     for gens, construction in cases:
         monkeypatch.setattr(oversemigroups, "_cover_mask", construction)
         with pytest.raises(InvariantViolation):
@@ -336,6 +350,15 @@ def test_cover_monotone_in_inclusion():
 
 
 # ── the uncovered-triple census ──────────────────────────────────────────────
+
+
+def candidate_triples(bound: int) -> Iterator[tuple[int, int, int]]:
+    """Yield, in lexicographic order, the triples 3 <= m1 < m2 < m3 <= bound
+    with gcd 1 and embedding dimension exactly 3 (m2 not a multiple of m1,
+    m3 outside <m1, m2>): the bits of the census's third-entry masks."""
+    for m1 in range(3, bound - 1):
+        for m2, third in _third_entries(m1, bound):
+            yield from ((m1, m2, m3) for m3 in _bits(third))
 
 
 def test_candidate_triples_filter():
