@@ -17,14 +17,17 @@ F'/2 >= m - 1/2.  A symmetric T is its own witness, as F' = F(T).  The
 exhaustive gap-subset DFS is the oracle behind
 ``oversemigroups_with_multiplicity``.
 
-The census decides the third entries of each pair (m1, m2) in one mask:
-the m3 outside <m1, m2> that share no prime with gcd(m1, m2).  The
-census counts its bits.  For every m1 the census cuts the mask to the
-gaps of each witness family of m1 ({0} and runs linear in m1, checked by
-sums of runs on every call) that has m2 as a member, a pigeonhole that
-leaves exactly DELTA with the paper's families; the criterion decides
-what is left.  The cover witness and the families pass one check of
-symmetry, ``_is_symmetric_mask``.
+The census counts its triples per m1 in closed form: a Möbius sum over
+the squarefree divisors of m1 for the gcd, less the members of <m1, m2>
+above m2, two of whose terms sum in closed form and the rest by floor
+sums.  A witness family of m1 ({0} and runs linear in m1, checked by
+sums of runs on every call) that holds both m2 and m3 contains the
+triple, so the census lists only the pairs no family holds: it splits
+the m3 into classes by the families they belong to, and keeps with each
+class the m2 that are gaps of all of them.  With the paper's families
+that leaves exactly DELTA, which the criterion decides.  The cover
+witness and the families pass one check of symmetry,
+``_is_symmetric_mask``.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from math import gcd
 from typing import Iterator
 
 from .errors import DomainError, InvariantViolation, UnsupportedMultiplicity
@@ -39,7 +43,8 @@ from .semigroup import NumericalSemigroup, from_generators, profile
 
 #: The four triples not contained in any symmetric semigroup of equal multiplicity.
 DELTA: tuple[tuple[int, int, int], ...] = ((3, 4, 5), (3, 5, 7), (4, 5, 7), (4, 7, 9))
-#: The largest census bound; the census does about bound**3 / 64 mask work.
+#: The largest census bound: the census cuts O(bound) masks of bound bits and
+#: takes O(bound log bound) floor sums.
 CENSUS_MAX_BOUND = 2000
 
 
@@ -187,15 +192,6 @@ def has_symmetric_cover(s: NumericalSemigroup) -> bool:
     return m < 3 or _largest_odd_gap(s) >= 2 * m - 1
 
 
-def _adjoin(mask: int, x: int, full: int) -> int:
-    """<S, x> for the semigroup S with members ``mask``: the union of the
-    kx + S, with strides x, 2x, 4x, ..."""
-    while x < full.bit_length():
-        mask |= (mask << x) & full
-        x <<= 1
-    return mask
-
-
 def _cover_mask(low: int, f: int) -> int:
     """Members over [0, f] of T ∪ {x in (f/2, f] : f - x not in T}, for the
     members ``low`` of T over [0, f]."""
@@ -208,8 +204,9 @@ def symmetric_cover(q: CoverQuery) -> CoverVerdict:
     multiplicity ``target_mult`` contains the base, and build the witness
     from the base's largest odd gap F': the base, each x in (F'/2, F'] with
     F' - x not in the base, and everything above F'.  The module docstring
-    proves it closed, symmetric and of multiplicity m; each is checked
-    before it is returned, with InvariantViolation if it fails."""
+    proves it closed, symmetric and of multiplicity m; each is checked,
+    containment and symmetry on the mask before the witness is built, with
+    InvariantViolation if one fails."""
     base = q.base
     _require_multiplicity(base, q.target_mult)
     if not has_symmetric_cover(base):
@@ -219,9 +216,11 @@ def symmetric_cover(q: CoverQuery) -> CoverVerdict:
         return CoverVerdict(True, base, 0)
     low = _member_mask(base) & ((1 << (f + 1)) - 1)
     mask = _cover_mask(low, f)
-    witness = _semigroup_from_mask(mask, f, m)  # checks the closure
     if low & ~mask or not _is_symmetric_mask(mask, m, f):  # above the base, and symmetric
-        raise InvariantViolation(f"{witness} is no symmetric cover of {base} of multiplicity {m}")
+        raise InvariantViolation(
+            f"the cover of {base} at F' = {f} is no symmetric set of multiplicity {m} containing it"
+        )
+    witness = _semigroup_from_mask(mask, f, m)  # checks the closure
     return CoverVerdict(True, witness, (mask & ~low).bit_count())
 
 
@@ -233,35 +232,115 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _third_entries(m1: int, bound: int) -> Iterator[tuple[int, int]]:
-    """For each m2 in (m1, bound) that m1 does not divide, m2 and the mask of
-    the m3 in (m2, bound] that complete the embedding-dimension-3 triples
-    with gcd 1: m3 outside <m1, m2> and sharing no prime with
-    d = gcd(m1, m2).  <m1, m2> is m2 adjoined to the multiples of m1,
-    and the numbers sharing a prime with d are the multiples of the
-    divisors > 1 of d, which are the divisors of m1 that divide m2."""
-    full = (2 << bound) - 1
-    divisors = [(q, _adjoin(1, q, full)) for q in range(2, m1 + 1) if m1 % q == 0]
-    multiples = divisors[-1][1]  # of q = m1
-    for m2 in range(m1 + 1, bound):
-        if m2 % m1:
-            taken = _adjoin(multiples, m2, full)
-            for q, mask in divisors:
-                if m2 % q == 0:
-                    taken |= mask
-            yield m2, (full ^ taken) >> (m2 + 1) << (m2 + 1)
+def _squarefree_divisors(n: int) -> list[tuple[int, int]]:
+    """Each squarefree divisor e of n >= 1 with its Möbius value μ(e)."""
+    divisors, p = [(1, 1)], 2
+    while n > 1:
+        if p * p > n:
+            p = n
+        if n % p == 0:
+            divisors += [(e * p, -mu) for e, mu in divisors]
+            while n % p == 0:
+                n //= p
+        p += 1
+    return divisors
+
+
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """The sum of ⌊(a·i + b) / m⌋ over 0 <= i < n, for m >= 1 and any sign
+    of a and b, in O(log m) steps: the Euclid-like reduction of the AtCoder
+    Library's floor_sum (atcoder/math.hpp), with Python's floor division
+    taking out the negative parts."""
+    total = 0
+    while n:
+        qa, a = divmod(a, m)
+        qb, b = divmod(b, m)
+        total += qa * (n * (n - 1) // 2) + qb * n
+        y = a * n + b
+        if y < m:
+            break
+        n, b = divmod(y, m)
+        m, a = a, m
+    return total
+
+
+def _gcd_one_pairs(m1: int, bound: int) -> int:
+    """The pairs m1 < m2 < m3 <= bound with m1 not dividing m2 and
+    gcd(m1, m2, m3) = 1.  By Möbius over the squarefree e | m1, with
+    q = m1/e and n = ⌊bound/e⌋: the pairs q < b < c <= n, less those with
+    b = k·q for 2 <= k <= ⌊n/q⌋."""
+    total = 0
+    for e, mu in _squarefree_divisors(m1):
+        q, n = m1 // e, bound // e
+        k = n // q
+        total += mu * ((n - q) * (n - q - 1) // 2 - (k - 1) * n + q * (k * (k + 1) // 2 - 1))
+    return total
+
+
+def _members_above(m1: int, bound: int) -> int:
+    """The members of <m1, m2> in (m2, bound], summed over the m2 in
+    (m1, bound) coprime to m1.  Each member is i·m1 + j·m2 for one i >= 0
+    and 0 <= j < m1.  With K, r = divmod(bound, m1) and m2 = t·m1 + s,
+    those with j = 0 number K - t and those with j = 1 number
+    K - t - [s > r], so both sum in closed form over the φ(m1) residues s
+    and the c(r) of them up to r.  Each 2 <= j <= bound/(m1 + 1) is one
+    floor sum, with a negative slope, per squarefree e | m1 over m2 = e·t."""
+    divisors = _squarefree_divisors(m1)
+    k, r = divmod(bound, m1)
+    phi = sum(mu * (m1 // e) for e, mu in divisors)
+    c_r = sum(mu * (r // e) for e, mu in divisors)
+    total = phi * (k * (k - 1) + (k - 1) * (k - 2)) // 2 + (k - 1) * c_r
+    for j in range(2, min(m1 - 1, bound // (m1 + 1)) + 1):
+        for e, mu in divisors:
+            lo, hi = m1 // e + 1, bound // (j * e)  # m2 = e·t for lo <= t <= hi
+            if hi >= lo:
+                count = hi - lo + 1
+                total += mu * (_floor_sum(count, m1, -j * e, bound - j * e * lo) + count)
+    return total
+
+
+def _uncertified_pairs(
+    m1: int, bound: int, families: list[tuple[int, int]]
+) -> list[tuple[int, int]]:
+    """The pairs m1 < m2 < m3 <= bound that no family holds both of, sorted.
+
+    The m3 in (m1, bound] are split into classes by the set P of families
+    that have them as members, one family at a time; a class keeps the m2
+    that are gaps of every family in P, and is dropped once its lowest m2
+    is not below its highest m3.  A family has every number above its
+    Frobenius number as a member."""
+    window = (2 << bound) - (2 << m1)  # (m1, bound]
+    classes = [(window, window)]  # (the m3 of a class, its m2 candidates)
+    for mask, frob in families:
+        member = (mask | -(2 << frob)) & window
+        classes = [
+            (third, second)
+            for old_third, old_second in classes
+            for third, second in (
+                (old_third & member, old_second & ~member),
+                (old_third & ~member, old_second),
+            )
+            if second and (second & -second).bit_length() < third.bit_length()
+        ]
+    return sorted(
+        (m2, m3)
+        for third, second in classes
+        for m3 in _bits(third)
+        for m2 in _bits(second & ((1 << m3) - 1))
+    )
 
 
 def verify_delta(bound: int, jobs: int = 1) -> DeltaReport:
     """Flag every embedding-dimension-3 triple within ``bound`` that has no
     symmetric cover, and compare against the known four.
 
-    The triples are counted off each pair's third-entry mask, not listed.
-    A witness family of m1 that has m2 as a member contains the triple
-    unless m3 is one of its gaps, so the mask is cut to the gaps of every
-    such family (its runs are checked on each call); the bits left, the
-    DELTA triples, go to the odd-gap criterion.  ``jobs`` is accepted and
-    ignored: the census runs in one process, up to CENSUS_MAX_BOUND.
+    The triples are counted per m1 in closed form, not listed: the pairs
+    with gcd 1 less the members of <m1, m2> above m2.  A witness family of m1 holding both m2 and m3 contains the
+    triple, so only the pairs that no family holds (``_uncertified_pairs``,
+    the families checked on every call) are listed; those of embedding
+    dimension 3 with gcd 1, the DELTA triples with the paper's families, go
+    to the odd-gap criterion in lexicographic order.  ``jobs`` is accepted
+    and ignored: the census runs in one process, up to CENSUS_MAX_BOUND.
     """
     if bound < 3:
         raise DomainError(f"bound must be at least 3, got {bound}")
@@ -270,16 +349,15 @@ def verify_delta(bound: int, jobs: int = 1) -> DeltaReport:
     examined = searched = 0
     flagged = []
     for m1 in range(3, bound - 1):
-        family_gaps = [(2 << frob) - 1 ^ mask for mask, frob in _family_masks(m1)]
-        for m2, third in _third_entries(m1, bound):
-            examined += third.bit_count()
-            for gaps in family_gaps:
-                if not gaps >> m2 & 1:  # a member, as is everything above the family's F
-                    third &= gaps
-            for m3 in _bits(third):
-                searched += 1
-                if not has_symmetric_cover(from_generators((m1, m2, m3))):
-                    flagged.append((m1, m2, m3))
+        examined += _gcd_one_pairs(m1, bound) - _members_above(m1, bound)
+        for m2, m3 in _uncertified_pairs(m1, bound, _family_masks(m1)):
+            if m2 % m1 == 0 or gcd(m1, m2, m3) > 1:
+                continue
+            if any((m3 - j * m2) % m1 == 0 for j in range(min(m1, m3 // m2 + 1))):
+                continue  # m3 is in <m1, m2>
+            searched += 1
+            if not has_symmetric_cover(from_generators((m1, m2, m3))):
+                flagged.append((m1, m2, m3))
     expected = tuple(t for t in DELTA if t[2] <= bound)
     return DeltaReport(bound, tuple(flagged), expected, examined, searched)
 

@@ -10,6 +10,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hnlab import cli, oversemigroups
 from hnlab.cli import main
@@ -125,6 +127,41 @@ def test_delta_verify_bound_5(capsys):
     code, payload = run_json(capsys, "delta", "verify", "--bound", "5")
     assert code == 0
     assert payload["result"]["flagged"] == [[3, 4, 5]]
+
+
+def _not_an_integer(token: str) -> bool:
+    try:
+        int(token)
+    except ValueError:
+        return True
+    return False
+
+
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    st.one_of(
+        st.integers(-5, 2100).map(str),
+        st.just(str(10**30)),
+        st.text(max_size=6).filter(_not_an_integer),
+    )
+)
+def test_delta_verify_bound_fuzz(capsys, token):
+    # any --bound ends in one v1 report (exit 0 or 2) or a usage error with
+    # an empty stdout (exit 1)
+    code = main(["delta", "verify", "--format", "json", "--bound", token])
+    out = capsys.readouterr().out
+    assert code in (0, 1, 2), token
+    in_range = not _not_an_integer(token) and 3 <= int(token) <= oversemigroups.CENSUS_MAX_BOUND
+    assert (code == 0) == in_range, token
+    if code == 1:
+        assert out == "", token
+    else:
+        assert len(out.splitlines()) == 1, token
+        payload = json.loads(out)
+        assert payload["schema"] == "v1", token
+        assert payload["status"] == ("ok" if code == 0 else "error"), token
 
 
 # ── hn ───────────────────────────────────────────────────────────────────────

@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import time
 from functools import cache
-from itertools import combinations, groupby
+from itertools import accumulate, combinations, groupby
 from math import gcd
 from typing import Iterator
 
@@ -34,12 +34,15 @@ from hnlab import (
 from hnlab import oversemigroups
 from hnlab.cli import main
 from hnlab.oversemigroups import (
+    CENSUS_MAX_BOUND,
     _bits,
     _family_masks,
+    _floor_sum,
+    _gcd_one_pairs,
     _iter_cover_masks,
+    _members_above,
     _semigroup_from_mask,
     _symmetric_mask,
-    _third_entries,
 )
 from hnlab.semigroup import NumericalSemigroup
 
@@ -238,8 +241,11 @@ def test_a_witness_that_is_no_symmetric_cover_is_caught(monkeypatch, capsys):
     )
     for gens, construction in cases:
         monkeypatch.setattr(oversemigroups, "_cover_mask", construction)
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(InvariantViolation) as caught:
             symmetric_cover(CoverQuery(from_generators(gens), gens[0]))
+        # the mask is rejected before a semigroup is built from it, so the
+        # message names no ill-formed witness such as <2,9> read as multiplicity 4
+        assert "<4,2,9>" not in str(caught.value), gens
         argv = ["sgp", "sym-cover", *map(str, gens), "--mult", str(gens[0]), "--format", "json"]
         assert main(argv) == 3
         assert json.loads(capsys.readouterr().out)["error"]["code"] == "InvariantViolation"
@@ -352,12 +358,61 @@ def test_cover_monotone_in_inclusion():
 # ── the uncovered-triple census ──────────────────────────────────────────────
 
 
+def adjoin(mask: int, x: int, full: int) -> int:
+    """<S, x> for the semigroup S with members ``mask``: the union of the
+    kx + S, with strides x, 2x, 4x, ..."""
+    while x < full.bit_length():
+        mask |= (mask << x) & full
+        x <<= 1
+    return mask
+
+
+def third_entries(m1: int, bound: int) -> Iterator[tuple[int, int]]:
+    """For each m2 in (m1, bound) that m1 does not divide, m2 and the mask of
+    the m3 in (m2, bound] that complete the embedding-dimension-3 triples
+    with gcd 1: m3 outside <m1, m2> and sharing no prime with
+    d = gcd(m1, m2).  <m1, m2> is m2 adjoined to the multiples of m1,
+    and the numbers sharing a prime with d are the multiples of the
+    divisors > 1 of d, which are the divisors of m1 that divide m2."""
+    full = (2 << bound) - 1
+    divisors = [(q, adjoin(1, q, full)) for q in range(2, m1 + 1) if m1 % q == 0]
+    multiples = divisors[-1][1]  # of q = m1
+    for m2 in range(m1 + 1, bound):
+        if m2 % m1:
+            taken = adjoin(multiples, m2, full)
+            for q, mask in divisors:
+                if m2 % q == 0:
+                    taken |= mask
+            yield m2, (full ^ taken) >> (m2 + 1) << (m2 + 1)
+
+
+def mask_census(bound: int) -> DeltaReport:
+    """The per-pair oracle: count each pair's third-entry mask, cut it to the
+    gaps of every family of m1 that has m2 as a member, and decide the bits
+    left by the criterion."""
+    examined = searched = 0
+    flagged = []
+    for m1 in range(3, bound - 1):
+        family_gaps = [(2 << frob) - 1 ^ mask for mask, frob in _family_masks(m1)]
+        for m2, third in third_entries(m1, bound):
+            examined += third.bit_count()
+            for gaps in family_gaps:
+                if not gaps >> m2 & 1:  # a member, as is everything above the family's F
+                    third &= gaps
+            for m3 in _bits(third):
+                searched += 1
+                if not has_symmetric_cover(from_generators((m1, m2, m3))):
+                    flagged.append((m1, m2, m3))
+    expected = tuple(t for t in DELTA if t[2] <= bound)
+    return DeltaReport(bound, tuple(flagged), expected, examined, searched)
+
+
 def candidate_triples(bound: int) -> Iterator[tuple[int, int, int]]:
     """Yield, in lexicographic order, the triples 3 <= m1 < m2 < m3 <= bound
     with gcd 1 and embedding dimension exactly 3 (m2 not a multiple of m1,
-    m3 outside <m1, m2>): the bits of the census's third-entry masks."""
+    m3 outside <m1, m2>): the bits of the oracle's third-entry masks."""
     for m1 in range(3, bound - 1):
-        for m2, third in _third_entries(m1, bound):
+        for m2, third in third_entries(m1, bound):
             yield from ((m1, m2, m3) for m3 in _bits(third))
 
 
@@ -427,46 +482,87 @@ def test_census_matches_the_streaming_oracle(bounds):
         assert verify_delta(bound) == streaming_census(bound), bound
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.integers(3, 60), st.integers(0, 300))
-def test_third_entries_match_brute_force(m1, width):
-    bound = m1 + 2 + width
+@pytest.mark.parametrize("bounds", [range(3, 61), [100], [150], [400]])
+def test_census_matches_the_mask_oracle(bounds):
+    for bound in bounds:
+        assert verify_delta(bound) == mask_census(bound), bound
+
+
+def brute_force_third_entries(m1: int, bound: int) -> dict[int, int]:
+    """``third_entries`` by enumeration: every i*m1 + j*m2 up to the bound,
+    and a gcd per m3."""
     expected = {}
     for m2 in range(m1 + 1, bound):
         if m2 % m1:
             d = gcd(m1, m2)
             members = {
-                i * m1 + j * m2 for i in range(bound // m1 + 1) for j in range(bound // m2 + 1)
+                i * m1 + j * m2
+                for j in range(bound // m2 + 1)
+                for i in range((bound - j * m2) // m1 + 1)
             }
             third = [n for n in range(m2 + 1, bound + 1) if gcd(d, n) == 1 and n not in members]
             expected[m2] = sum(1 << n for n in third)
-    assert dict(_third_entries(m1, bound)) == expected
+    return expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(3, 60), st.integers(0, 300))
+def test_third_entries_match_brute_force(m1, width):
+    bound = m1 + 2 + width
+    assert dict(third_entries(m1, bound)) == brute_force_third_entries(m1, bound)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(3, 60), st.integers(0, 300))
+def test_census_count_matches_brute_force(m1, width):
+    # the triples of multiplicity m1 the census counts, against enumeration
+    bound = m1 + 2 + width
+    expected = sum(third.bit_count() for third in brute_force_third_entries(m1, bound).values())
+    assert _gcd_one_pairs(m1, bound) - _members_above(m1, bound) == expected
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 80), st.integers(1, 60), st.integers(-200, 200), st.integers(-2000, 2000))
+def test_floor_sum_matches_the_direct_sum(n, m, a, b):
+    assert _floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(3, 40), st.integers(1, 60), st.integers(0, 400))
 def test_count_members_matches_brute_force(m1, step, width):
-    # with gcd(m1, m2) = 1 the mask is (m2, bound] less the members of <m1, m2>
-    m2 = m1 + step
-    assume(gcd(m1, m2) == 1)
-    bound = m2 + 1 + width
-    members = {i * m1 + j * m2 for i in range(bound // m1 + 1) for j in range(bound // m2 + 1)}
-    third = dict(_third_entries(m1, bound))[m2]
-    assert bound - m2 - third.bit_count() == sum(m2 < n <= bound for n in members)
+    # the members of <m1, m2> in (m2, bound], every i*m1 + j*m2, summed over
+    # the m2 in (m1, bound) coprime to m1
+    bound = m1 + step + 1 + width
+    full = (2 << bound) - 1
+    multiples = sum(1 << n for n in range(0, bound + 1, m1))
+    expected = 0
+    for m2 in range(m1 + 1, bound):
+        if gcd(m1, m2) == 1:
+            members = 0
+            for shift in range(0, bound + 1, m2):
+                members |= multiples << shift
+            expected += ((members & full) >> (m2 + 1)).bit_count()
+    assert _members_above(m1, bound) == expected
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 2310), st.integers(2, 6), st.integers(0, 1000))
 def test_count_coprime_matches_brute_force(d, a, width):
-    # m1 = a*d does not divide m2 = (a + 1)*d and gcd(m1, m2) = d, so the mask
-    # is the n in (m2, bound] coprime to d, less the members of <m1, m2>
-    m1, m2 = a * d, (a + 1) * d
+    # m1 = a*d, with bound (a + 1)*d + 1 + width: the pairs m2 < m3 with m1
+    # not dividing m2 and gcd(m1, m2, m3) = 1, by the m3 up to the bound
+    # coprime to each gcd(m1, m2)
+    m1 = a * d
     assume(m1 >= 3)
-    bound = m2 + 1 + width
-    third = next(t for m, t in _third_entries(m1, bound) if m == m2)
-    members = {i * m1 + j * m2 for i in range(bound // m1 + 1) for j in range(bound // m2 + 1)}
-    coprime = [n for n in range(m2 + 1, bound + 1) if gcd(n, d) == 1]
-    assert third.bit_count() + sum(n in members for n in coprime) == len(coprime)
+    bound = (a + 1) * d + 1 + width
+    coprime: dict[int, list[int]] = {}  # g -> the count coprime to g in (m1, x] at x - m1
+    expected = 0
+    for m2 in range(m1 + 1, bound):
+        if m2 % m1:
+            g = gcd(m1, m2)
+            if g not in coprime:
+                coprime[g] = [0, *accumulate(gcd(n, g) == 1 for n in range(m1 + 1, bound + 1))]
+            expected += coprime[g][-1] - coprime[g][m2 - m1]
+    assert _gcd_one_pairs(m1, bound) == expected
 
 
 def test_census_at_bound_300_is_fast():
@@ -478,6 +574,19 @@ def test_census_at_bound_300_is_fast():
     assert report.flagged == DELTA and report.matches
     assert report.triples_examined == 3_305_042
     assert elapsed < 5.0, elapsed
+
+
+def test_census_at_the_cap_is_fast():
+    # on a 2-vCPU Xeon guest the closed form takes about 0.1 s at the cap
+    # and the per-pair masks of mask_census 3.5 to 7 s, so a fallback to
+    # per-pair work fails
+    started = time.perf_counter()
+    report = verify_delta(CENSUS_MAX_BOUND)
+    elapsed = time.perf_counter() - started
+    assert report.triples_examined == 1_078_044_064
+    assert report.triples_searched == 4
+    assert report.flagged == DELTA and report.matches
+    assert elapsed < 2.0, elapsed
 
 
 def test_pigeonhole_lists_exactly_the_uncertified_triples(monkeypatch):
