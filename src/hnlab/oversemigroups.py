@@ -15,7 +15,8 @@ member, since F' - x - b in T would put F' - x in T.  Symmetric: exactly
 one of x and F' - x lies in U.  Multiplicity m: each adjoined x is above
 F'/2 >= m - 1/2.  A symmetric T is its own witness, as F' = F(T).  The
 exhaustive gap-subset DFS is the oracle behind
-``oversemigroups_with_multiplicity``.
+``oversemigroups_with_multiplicity``: it carries the Apéry set as it
+adjoins gaps, and the builder checks it against each listed mask.
 
 The census counts its triples per m1 in closed form: a Möbius sum over
 the squarefree divisors of m1 for the gcd, less the members of <m1, m2>
@@ -100,62 +101,89 @@ def _member_mask(s: NumericalSemigroup) -> int:
     return int(bits[::-1], 2) if bits else 0
 
 
-def _iter_cover_masks(base: NumericalSemigroup) -> Iterator[int]:
-    """Yield membership masks over [0, F(base)] of every oversemigroup of the
-    same multiplicity, in lexicographic order of the adjoined gap subsets."""
+def _iter_cover_masks(base: NumericalSemigroup) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Yield the membership mask over [0, F(base)] and the Apéry set of every
+    oversemigroup of the same multiplicity, in lexicographic order of the
+    adjoined gap subsets.  The DFS carries the Apéry set: gaps are adjoined
+    in increasing order, so an adjoined x lowers apery[x % m] to x when x is
+    below it, and leaving the node restores the entry."""
+    m = base.multiplicity
     gaps = profile(base).gaps
     full = (1 << (base.frobenius + 1)) - 1
     base_mask = _member_mask(base)
-    window = gaps[base.multiplicity - 1 :]  # the gaps below m are exactly 1..m-1
+    window = gaps[m - 1 :]  # the gaps below m are exactly 1..m-1
+    apery = list(base.apery)  # of the set at the top frame, updated in place
 
     # Preorder DFS on an explicit stack of (mask, forced, next index, end
-    # index) frames.  Children adjoin window[i] for next <= i < end; a node
-    # with forced positions may only adjoin gaps up to the smallest of them.
-    # The base itself is closed, so the root starts with no forced positions.
-    yield base_mask
-    stack = [(base_mask, 0, 0, len(window))]
+    # index, class, previous Apéry entry) frames.  Children adjoin window[i]
+    # for next <= i < end; a node with forced positions may only adjoin gaps
+    # up to the smallest of them.  Popping a frame puts back the entry of
+    # its class.  The base itself is closed, so the root starts with no
+    # forced positions, and its frame restores apery[0] = 0.
+    yield base_mask, base.apery
+    stack = [(base_mask, 0, 0, len(window), 0, 0)]
     while stack:
-        mask, forced, i, end = stack[-1]
+        mask, forced, i, end, r, prev = stack[-1]
         if i == end:
             stack.pop()
+            apery[r] = prev
             continue
-        stack[-1] = (mask, forced, i + 1, end)
+        stack[-1] = (mask, forced, i + 1, end, r, prev)
         x = window[i]
-        child = mask | (1 << x)
+        child, cls = mask | (1 << x), x % m
+        entry = apery[cls]
+        if x < entry:
+            apery[cls] = x
         child_forced = (forced | (child << x)) & full & ~child
         if child_forced:
             limit = (child_forced & -child_forced).bit_length() - 1
-            stack.append((child, child_forced, i + 1, bisect_right(window, limit, i + 1)))
+            stack.append(
+                (child, child_forced, i + 1, bisect_right(window, limit, i + 1), cls, entry)
+            )
         else:
-            yield child
-            stack.append((child, 0, i + 1, len(window)))
+            yield child, tuple(apery)
+            stack.append((child, 0, i + 1, len(window), cls, entry))
 
 
-def _semigroup_from_mask(mask: int, upto: int, mult: int) -> NumericalSemigroup:
-    """The semigroup of multiplicity ``mult`` with members ``mask`` in
-    [0, upto].  A nonzero Apéry element w is a minimal generator unless
-    w - v is a nonzero member for a nonzero Apéry element v, so the others
-    are the bits of the nonzero members shifted by each such v.  With the
-    shift by ``mult`` the same sums show the mask closed under addition
-    (each member is its class's Apéry element plus a multiple of
-    ``mult``); InvariantViolation if one is missing."""
+def _mask_apery(mask: int, upto: int, mult: int) -> tuple[int, ...]:
+    """The least member of each class mod ``mult`` of the set with members
+    ``mask`` in [0, upto] and everything above upto."""
     bits = format(mask, "b")[::-1]  # bits[x] == "1" iff x <= upto is a member
     apery = []
     for r in range(mult):
         k = bits[r::mult].find("1")
         apery.append(r + k * mult if k >= 0 else upto + 1 + (r - upto - 1) % mult)
+    return tuple(apery)
+
+
+def _semigroup_from_mask(
+    mask: int, upto: int, mult: int, apery: tuple[int, ...]
+) -> NumericalSemigroup:
+    """The semigroup of multiplicity ``mult`` with members ``mask`` in
+    [0, upto] and Apéry set ``apery`` (``apery[r]`` in class r).  A nonzero
+    Apéry element w is a minimal generator unless w - v is a nonzero member
+    for a nonzero Apéry element v, so the others are the bits of the nonzero
+    members shifted by each such v.  With the shift by ``mult`` the same sums
+    show the mask closed (each member is its class's Apéry element plus a
+    multiple of ``mult``), and the members with no member ``mult`` below
+    them must be the listed Apéry elements; InvariantViolation if not."""
     reach = max(*apery, upto)
-    nonzero = (mask | -(1 << (upto + 1))) & ((2 << reach) - 2)  # the members in [1, reach]
+    members = (mask | -(1 << (upto + 1))) & ((2 << reach) - 1)  # the members in [0, reach]
+    nonzero = members & ~1
     sums = (nonzero | 1) << mult
+    listed = 0
     for v in apery:
+        listed |= 1 << v
         if v:
             sums |= nonzero << v
     missing = sums & ~mask & ((1 << (upto + 1)) - 1)
     if missing:
         x = (missing & -missing).bit_length() - 1
         raise InvariantViolation(f"members up to {upto} are not closed: {x} is a missing sum")
+    if members & ~(members << mult) != listed:
+        raise InvariantViolation(f"{apery} is not the Apéry set of the members up to {upto}")
     gens = [w for w in sorted(apery) if w and not sums >> w & 1]
-    return NumericalSemigroup((mult, *gens), tuple(apery))
+    return NumericalSemigroup((mult, *gens), apery)
 
 
 def _require_multiplicity(s: NumericalSemigroup, m: int) -> None:
@@ -172,7 +200,8 @@ def oversemigroups_with_multiplicity(
     exhaustive search.  Only m = multiplicity(s) is supported; anything else
     raises UnsupportedMultiplicity."""
     _require_multiplicity(s, m)
-    return [_semigroup_from_mask(mask, s.frobenius, m) for mask in _iter_cover_masks(s)]
+    frob = s.frobenius
+    return [_semigroup_from_mask(mask, frob, m, apery) for mask, apery in _iter_cover_masks(s)]
 
 
 def _largest_odd_gap(s: NumericalSemigroup) -> int:
@@ -209,9 +238,9 @@ def symmetric_cover(q: CoverQuery) -> CoverVerdict:
     InvariantViolation if one fails."""
     base = q.base
     _require_multiplicity(base, q.target_mult)
-    if not has_symmetric_cover(base):
-        return CoverVerdict(False, None, 0)
     m, f = base.multiplicity, _largest_odd_gap(base)
+    if m >= 3 and f < 2 * m - 1:  # the criterion of has_symmetric_cover, on F' found once
+        return CoverVerdict(False, None, 0)
     if f < 0:  # N = <1> has no odd gap and is its own witness
         return CoverVerdict(True, base, 0)
     low = _member_mask(base) & ((1 << (f + 1)) - 1)
@@ -220,7 +249,7 @@ def symmetric_cover(q: CoverQuery) -> CoverVerdict:
         raise InvariantViolation(
             f"the cover of {base} at F' = {f} is no symmetric set of multiplicity {m} containing it"
         )
-    witness = _semigroup_from_mask(mask, f, m)  # checks the closure
+    witness = _semigroup_from_mask(mask, f, m, _mask_apery(mask, f, m))  # checks the closure
     return CoverVerdict(True, witness, (mask & ~low).bit_count())
 
 
@@ -409,4 +438,7 @@ def witness_families(m1: int) -> list[NumericalSemigroup]:
     the same runs down to m1 = 3, where they leave DELTA."""
     if m1 < 5:
         raise DomainError(f"witness families are defined for multiplicity >= 5, got {m1}")
-    return [_semigroup_from_mask(mask, frob, m1) for mask, frob in _family_masks(m1)]
+    return [
+        _semigroup_from_mask(mask, frob, m1, _mask_apery(mask, frob, m1))
+        for mask, frob in _family_masks(m1)
+    ]

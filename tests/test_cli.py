@@ -164,6 +164,66 @@ def test_delta_verify_bound_fuzz(capsys, token):
         assert payload["status"] == ("ok" if code == 0 else "error"), token
 
 
+def _is_positive_integer(token: str) -> bool:
+    return not _not_an_integer(token) and int(token) >= 1
+
+
+# a token that is no small integer: 0, a huge one, or text that is no
+# integer and no option (an option such as -h would print argparse's help)
+ODD_TOKENS = st.one_of(
+    st.sampled_from(["0", str(10**30)]),
+    st.text(max_size=6).filter(lambda t: _not_an_integer(t) and not t.startswith("-")),
+)
+
+
+@st.composite
+def generator_tokens(draw) -> list[str]:
+    """Up to four integers in [-5, 50], and half the time one odd token put
+    in among them."""
+    tokens = draw(st.lists(st.integers(-5, 50).map(str), max_size=4))
+    if draw(st.booleans()):
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(ODD_TOKENS))
+    return tokens
+
+
+def assert_one_report_or_usage_error(capsys, argv: list[str], parses: bool) -> None:
+    """Exit 0 or 2 with exactly one v1 JSON line, or exit 1 with an empty
+    stdout, which happens exactly when argparse rejects a token."""
+    code = main([*argv, "--format", "json"])
+    out = capsys.readouterr().out
+    assert code in (0, 1, 2), argv
+    assert (code != 1) == parses, argv
+    if code == 1:
+        assert out == "", argv
+    else:
+        assert len(out.splitlines()) == 1, argv
+        payload = json.loads(out)
+        assert payload["schema"] == "v1", argv
+        assert payload["status"] == ("ok" if code == 0 else "error"), argv
+
+
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(generator_tokens())
+def test_analyze_generators_fuzz(capsys, tokens):
+    parses = bool(tokens) and all(map(_is_positive_integer, tokens))
+    assert_one_report_or_usage_error(capsys, ["sgp", "analyze", *tokens], parses)
+
+
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(generator_tokens(), st.data())
+def test_sym_cover_generators_and_mult_fuzz(capsys, tokens, data):
+    # --mult is often one of the generators, so that some bases are decided
+    mult = data.draw(
+        st.one_of(st.sampled_from(tokens or ["3"]), st.integers(-5, 50).map(str), ODD_TOKENS)
+    )
+    parses = bool(tokens) and all(map(_is_positive_integer, [*tokens, mult]))
+    assert_one_report_or_usage_error(capsys, ["sgp", "sym-cover", *tokens, "--mult", mult], parses)
+
+
 # ── hn ───────────────────────────────────────────────────────────────────────
 
 
