@@ -15,8 +15,8 @@ member, since F' - x - b in T would put F' - x in T.  Symmetric: exactly
 one of x and F' - x lies in U.  Multiplicity m: each adjoined x is above
 F'/2 >= m - 1/2.  A symmetric T is its own witness, as F' = F(T).  The
 exhaustive gap-subset DFS is the oracle behind
-``oversemigroups_with_multiplicity``: it carries the Apéry set as it
-adjoins gaps, and the builder checks it against each listed mask.
+``oversemigroups_with_multiplicity``: it lists masks, and the builder
+reads each Apéry set off its mask in the pass that checks the closure.
 
 The census counts its triples per m1 in closed form: a Möbius sum over
 the squarefree divisors of m1 for the gcd, less the members of <m1, m2>
@@ -101,89 +101,62 @@ def _member_mask(s: NumericalSemigroup) -> int:
     return int(bits[::-1], 2) if bits else 0
 
 
-def _iter_cover_masks(base: NumericalSemigroup) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Yield the membership mask over [0, F(base)] and the Apéry set of every
-    oversemigroup of the same multiplicity, in lexicographic order of the
-    adjoined gap subsets.  The DFS carries the Apéry set: gaps are adjoined
-    in increasing order, so an adjoined x lowers apery[x % m] to x when x is
-    below it, and leaving the node restores the entry."""
-    m = base.multiplicity
+def _iter_cover_masks(base: NumericalSemigroup) -> Iterator[int]:
+    """Yield membership masks over [0, F(base)] of every oversemigroup of the
+    same multiplicity, in lexicographic order of the adjoined gap subsets."""
     gaps = profile(base).gaps
     full = (1 << (base.frobenius + 1)) - 1
     base_mask = _member_mask(base)
-    window = gaps[m - 1 :]  # the gaps below m are exactly 1..m-1
-    apery = list(base.apery)  # of the set at the top frame, updated in place
+    window = gaps[base.multiplicity - 1 :]  # the gaps below m are exactly 1..m-1
 
     # Preorder DFS on an explicit stack of (mask, forced, next index, end
-    # index, class, previous Apéry entry) frames.  Children adjoin window[i]
-    # for next <= i < end; a node with forced positions may only adjoin gaps
-    # up to the smallest of them.  Popping a frame puts back the entry of
-    # its class.  The base itself is closed, so the root starts with no
-    # forced positions, and its frame restores apery[0] = 0.
-    yield base_mask, base.apery
-    stack = [(base_mask, 0, 0, len(window), 0, 0)]
+    # index) frames.  Children adjoin window[i] for next <= i < end; a node
+    # with forced positions may only adjoin gaps up to the smallest of them.
+    # The base itself is closed, so the root starts with no forced positions.
+    yield base_mask
+    stack = [(base_mask, 0, 0, len(window))]
     while stack:
-        mask, forced, i, end, r, prev = stack[-1]
+        mask, forced, i, end = stack[-1]
         if i == end:
             stack.pop()
-            apery[r] = prev
             continue
-        stack[-1] = (mask, forced, i + 1, end, r, prev)
+        stack[-1] = (mask, forced, i + 1, end)
         x = window[i]
-        child, cls = mask | (1 << x), x % m
-        entry = apery[cls]
-        if x < entry:
-            apery[cls] = x
+        child = mask | (1 << x)
         child_forced = (forced | (child << x)) & full & ~child
         if child_forced:
             limit = (child_forced & -child_forced).bit_length() - 1
-            stack.append(
-                (child, child_forced, i + 1, bisect_right(window, limit, i + 1), cls, entry)
-            )
+            stack.append((child, child_forced, i + 1, bisect_right(window, limit, i + 1)))
         else:
-            yield child, tuple(apery)
-            stack.append((child, 0, i + 1, len(window), cls, entry))
+            yield child
+            stack.append((child, 0, i + 1, len(window)))
 
 
-def _mask_apery(mask: int, upto: int, mult: int) -> tuple[int, ...]:
-    """The least member of each class mod ``mult`` of the set with members
-    ``mask`` in [0, upto] and everything above upto."""
-    bits = format(mask, "b")[::-1]  # bits[x] == "1" iff x <= upto is a member
-    apery = []
-    for r in range(mult):
-        k = bits[r::mult].find("1")
-        apery.append(r + k * mult if k >= 0 else upto + 1 + (r - upto - 1) % mult)
-    return tuple(apery)
-
-
-def _semigroup_from_mask(
-    mask: int, upto: int, mult: int, apery: tuple[int, ...]
-) -> NumericalSemigroup:
+def _semigroup_from_mask(mask: int, upto: int, mult: int) -> NumericalSemigroup:
     """The semigroup of multiplicity ``mult`` with members ``mask`` in
-    [0, upto] and Apéry set ``apery`` (``apery[r]`` in class r).  A nonzero
-    Apéry element w is a minimal generator unless w - v is a nonzero member
-    for a nonzero Apéry element v, so the others are the bits of the nonzero
-    members shifted by each such v.  With the shift by ``mult`` the same sums
-    show the mask closed (each member is its class's Apéry element plus a
-    multiple of ``mult``), and the members with no member ``mult`` below
-    them must be the listed Apéry elements; InvariantViolation if not."""
-    reach = max(*apery, upto)
-    members = (mask | -(1 << (upto + 1))) & ((2 << reach) - 1)  # the members in [0, reach]
+    [0, upto].  Its nonzero Apéry elements are the members in [1, upto + mult]
+    with no member ``mult`` below them.  A nonzero Apéry element w is a
+    minimal generator unless w - v is a nonzero member for a nonzero Apéry
+    element v, so the others are the bits of the nonzero members shifted by
+    each such v.  With the shift by ``mult`` the same sums show the mask
+    closed, so each class has one such element and they are the Apéry set;
+    InvariantViolation if a sum is missing."""
+    members = (mask | -(1 << (upto + 1))) & ((2 << (upto + mult)) - 1)  # in [0, upto + mult]
     nonzero = members & ~1
+    starters = nonzero & ~(members << mult)
     sums = (nonzero | 1) << mult
-    listed = 0
-    for v in apery:
-        listed |= 1 << v
-        if v:
-            sums |= nonzero << v
+    apery = [0] * mult
+    while starters:
+        v = starters.bit_length() - 1
+        starters ^= 1 << v
+        apery[v % mult] = v
+        sums |= nonzero << v
     missing = sums & ~mask & ((1 << (upto + 1)) - 1)
     if missing:
         x = (missing & -missing).bit_length() - 1
         raise InvariantViolation(f"members up to {upto} are not closed: {x} is a missing sum")
-    if members & ~(members << mult) != listed:
-        raise InvariantViolation(f"{apery} is not the Apéry set of the members up to {upto}")
     gens = [w for w in sorted(apery) if w and not sums >> w & 1]
-    return NumericalSemigroup((mult, *gens), apery)
+    return NumericalSemigroup((mult, *gens), tuple(apery))
 
 
 def _require_multiplicity(s: NumericalSemigroup, m: int) -> None:
@@ -201,7 +174,7 @@ def oversemigroups_with_multiplicity(
     raises UnsupportedMultiplicity."""
     _require_multiplicity(s, m)
     frob = s.frobenius
-    return [_semigroup_from_mask(mask, frob, m, apery) for mask, apery in _iter_cover_masks(s)]
+    return [_semigroup_from_mask(mask, frob, m) for mask in _iter_cover_masks(s)]
 
 
 def _largest_odd_gap(s: NumericalSemigroup) -> int:
@@ -249,7 +222,7 @@ def symmetric_cover(q: CoverQuery) -> CoverVerdict:
         raise InvariantViolation(
             f"the cover of {base} at F' = {f} is no symmetric set of multiplicity {m} containing it"
         )
-    witness = _semigroup_from_mask(mask, f, m, _mask_apery(mask, f, m))  # checks the closure
+    witness = _semigroup_from_mask(mask, f, m)  # checks the closure
     return CoverVerdict(True, witness, (mask & ~low).bit_count())
 
 
@@ -364,12 +337,13 @@ def verify_delta(bound: int, jobs: int = 1) -> DeltaReport:
     symmetric cover, and compare against the known four.
 
     The triples are counted per m1 in closed form, not listed: the pairs
-    with gcd 1 less the members of <m1, m2> above m2.  A witness family of m1 holding both m2 and m3 contains the
-    triple, so only the pairs that no family holds (``_uncertified_pairs``,
-    the families checked on every call) are listed; those of embedding
-    dimension 3 with gcd 1, the DELTA triples with the paper's families, go
-    to the odd-gap criterion in lexicographic order.  ``jobs`` is accepted
-    and ignored: the census runs in one process, up to CENSUS_MAX_BOUND.
+    with gcd 1 less the members of <m1, m2> above m2.  A witness family of
+    m1 holding both m2 and m3 contains the triple, so only the pairs that
+    no family holds (``_uncertified_pairs``, the families checked on every
+    call) are listed; those of embedding dimension 3 with gcd 1, the DELTA
+    triples with the paper's families, go to the odd-gap criterion in
+    lexicographic order.  ``jobs`` is accepted and ignored: the census runs
+    in one process, up to CENSUS_MAX_BOUND.
     """
     if bound < 3:
         raise DomainError(f"bound must be at least 3, got {bound}")
@@ -438,7 +412,4 @@ def witness_families(m1: int) -> list[NumericalSemigroup]:
     the same runs down to m1 = 3, where they leave DELTA."""
     if m1 < 5:
         raise DomainError(f"witness families are defined for multiplicity >= 5, got {m1}")
-    return [
-        _semigroup_from_mask(mask, frob, m1, _mask_apery(mask, frob, m1))
-        for mask, frob in _family_masks(m1)
-    ]
+    return [_semigroup_from_mask(mask, frob, m1) for mask, frob in _family_masks(m1)]

@@ -40,7 +40,6 @@ from hnlab.oversemigroups import (
     _floor_sum,
     _gcd_one_pairs,
     _iter_cover_masks,
-    _mask_apery,
     _members_above,
     _semigroup_from_mask,
     _symmetric_mask,
@@ -85,7 +84,7 @@ def exhaustive_has_symmetric_cover(base) -> bool:
     full = (1 << (base.frobenius + 1)) - 1
     return any(
         2 * (full ^ mask).bit_count() == (full ^ mask).bit_length()
-        for mask, _ in _iter_cover_masks(base)
+        for mask in _iter_cover_masks(base)
     )
 
 
@@ -113,14 +112,20 @@ def test_oracle_population_is_nontrivial():
 
 
 def test_enumeration_matches_subset_oracle():
+    # the listing is the oracle's sets, base first and then in
+    # lexicographic order of the adjoined gap subsets
     for gens in ORACLE_BASES:
         base = from_generators(gens)
         frob = base.frobenius
-        got = {
+        base_members = members_upto_frobenius(base, frob)
+        got = [
             members_upto_frobenius(u, frob)
             for u in oversemigroups_with_multiplicity(base, base.multiplicity)
-        }
-        assert got == oracle_oversemigroups(gens), gens
+        ]
+        expected = sorted(
+            oracle_oversemigroups(gens), key=lambda u: tuple(sorted(u - base_members))
+        )
+        assert got == expected, gens
 
 
 def test_enumeration_known_values():
@@ -163,26 +168,24 @@ def test_semigroup_from_mask_matches_the_pairwise_oracle():
     assert len(bases) > 600
     for base in bases:
         m, frob = base.multiplicity, base.frobenius
-        for mask, apery in _iter_cover_masks(base):
+        for mask in _iter_cover_masks(base):
             expected = semigroup_from_mask_by_comparison(mask, frob, m)
-            assert apery == expected.apery, (base, mask)  # the Apéry set the DFS carries
-            assert _semigroup_from_mask(mask, frob, m, apery) == expected, (base, mask)
+            assert _semigroup_from_mask(mask, frob, m) == expected, (base, mask)
     for m1 in range(3, 301):
         for mask, frob in _family_masks(m1):
             expected = semigroup_from_mask_by_comparison(mask, frob, m1)
-            apery = _mask_apery(mask, frob, m1)
-            assert _semigroup_from_mask(mask, frob, m1, apery) == expected, (m1, frob)
+            assert _semigroup_from_mask(mask, frob, m1) == expected, (m1, frob)
 
 
-def test_semigroup_from_mask_checks_the_apery_set_against_the_mask():
-    # <4,6,9,11> over [0, 7] has the Apéry set (0, 9, 6, 11); one entry
-    # raised by the multiplicity, or lowered onto a gap, no longer matches
-    # the mask's least member of that class, though every sum is present
+def test_semigroup_from_mask_reads_the_apery_set_off_the_mask():
+    # the members {0, 4, 6} over [0, 7] are <4,6,9,11>, whose Apéry set
+    # (0, 9, 6, 11) holds the least member of each class; adjoining 3
+    # leaves 3 + 4 = 7 out of the mask
     mask = sum(1 << x for x in (0, 4, 6))
-    assert _semigroup_from_mask(mask, 7, 4, (0, 9, 6, 11)).minimal_gens == (4, 6, 9, 11)
-    for apery in ((0, 9, 10, 11), (0, 9, 6, 7)):
-        with pytest.raises(InvariantViolation, match="Apéry set"):
-            _semigroup_from_mask(mask, 7, 4, apery)
+    s = _semigroup_from_mask(mask, 7, 4)
+    assert (s.apery, s.minimal_gens) == ((0, 9, 6, 11), (4, 6, 9, 11))
+    with pytest.raises(InvariantViolation, match="7 is a missing sum"):
+        _semigroup_from_mask(mask | 1 << 3, 7, 4)
 
 
 def test_enumeration_results_contain_base_and_keep_multiplicity():
@@ -470,10 +473,7 @@ def paper_families(m1: int) -> list[NumericalSemigroup]:
 
 def mask_families(m1: int) -> list[NumericalSemigroup]:
     """The families the census cuts by, as semigroups."""
-    return [
-        _semigroup_from_mask(mask, frob, m1, _mask_apery(mask, frob, m1))
-        for mask, frob in _family_masks(m1)
-    ]
+    return [_semigroup_from_mask(mask, frob, m1) for mask, frob in _family_masks(m1)]
 
 
 def streaming_census(bound: int) -> DeltaReport:
@@ -623,8 +623,8 @@ def test_pigeonhole_lists_exactly_the_uncertified_triples(monkeypatch):
         m1, frob = base.multiplicity, base.frobenius
         masks = list(_iter_cover_masks(base))
         for picks in (masks[:4], masks[-4:], [masks[0]] * 4, masks[::max(1, len(masks) // 4)][:4]):
-            families = [_semigroup_from_mask(mask, frob, m1, apery) for mask, apery in picks]
-            stand_ins = [(mask, frob) for mask, _ in picks]
+            families = [_semigroup_from_mask(mask, frob, m1) for mask in picks]
+            stand_ins = [(mask, frob) for mask in picks]
             monkeypatch.setattr(oversemigroups, "_family_masks", lambda m, s=stand_ins: s)
             for bound in (m1 + 2, 2 * m1 + 3, frob + 4):
                 expected = [
