@@ -22,13 +22,16 @@ The census counts its triples per m1 in closed form: a Möbius sum over
 the squarefree divisors of m1 for the gcd, less the members of <m1, m2>
 above m2, two of whose terms sum in closed form and the rest by floor
 sums.  A witness family of m1 ({0} and runs linear in m1, checked by
-sums of runs on every call) that holds both m2 and m3 contains the
-triple, so the census lists only the pairs no family holds: it splits
-the m3 into classes by the families they belong to, and keeps with each
-class the m2 that are gaps of all of them.  With the paper's families
-that leaves exactly DELTA, which the criterion decides.  The cover
-witness and the families pass one check of symmetry,
-``_is_symmetric_mask``.
+sums of runs) that holds both m2 and m3 contains the triple, so only
+the pairs no family holds need the criterion: the cut splits the m3
+into classes by the families they belong to, and keeps with each class
+the m2 that are gaps of all of them.  For every m1 >= 5 that cut is
+empty at every bound, by a certificate checked on every call
+(``family_certificate``: exact checks at finitely many m1 and a
+crossing-point lemma on the run table), so the census cuts only
+m1 in {3, 4}, where the paper's families leave exactly DELTA for the
+criterion.  The cover witness and the families pass one check of
+symmetry, ``_is_symmetric_mask``.
 """
 
 from __future__ import annotations
@@ -44,9 +47,25 @@ from .semigroup import NumericalSemigroup, from_generators, profile
 
 #: The four triples not contained in any symmetric semigroup of equal multiplicity.
 DELTA: tuple[tuple[int, int, int], ...] = ((3, 4, 5), (3, 5, 7), (4, 5, 7), (4, 7, 9))
-#: The largest census bound: the census cuts O(bound) masks of bound bits and
-#: takes O(bound log bound) floor sums.
+#: The largest census bound: the count takes O(bound log bound) floor sums,
+#: and only the cut at m1 in {3, 4} reads masks of bound bits.
 CENSUS_MAX_BOUND = 2000
+
+Form = tuple[int, int]  # (slope, offset): the integer slope·m1 + offset
+
+#: The witness families of m1 as runs [a, b] (the run [0, 0] among them)
+#: and Frobenius number F, every endpoint a linear form in m1.  All four
+#: are symmetric of multiplicity m1 for m1 >= 4, the first two for m1 = 3.
+_FAMILY_RUNS: tuple[tuple[tuple[tuple[Form, Form], ...], Form], ...] = (
+    # {0} ∪ [m1, 2m1 - 2], F = 2m1 - 1
+    ((((0, 0), (0, 0)), ((1, 0), (2, -2))), (2, -1)),
+    # {0, m1} ∪ [m1 + 2, 2m1], F = 2m1 + 1
+    ((((0, 0), (0, 0)), ((1, 0), (1, 0)), ((1, 2), (2, 0))), (2, 1)),
+    # {0, m1} ∪ [2m1 - 1, 3m1 - 4] ∪ [3m1 - 2, 4m1 - 4], F = 4m1 - 3
+    ((((0, 0), (0, 0)), ((1, 0), (1, 0)), ((2, -1), (3, -4)), ((3, -2), (4, -4))), (4, -3)),
+    # {0} ∪ [m1, m1 + 1] ∪ [m1 + 4, 2m1 + 2], F = 2m1 + 3
+    ((((0, 0), (0, 0)), ((1, 0), (1, 1)), ((1, 4), (2, 2))), (2, 3)),
+)
 
 
 @dataclass(frozen=True)
@@ -89,6 +108,17 @@ class DeltaReport:
     @property
     def matches(self) -> bool:
         return self.flagged == self.expected
+
+
+@dataclass(frozen=True)
+class FamilyCertificate:
+    """The witness families hold every pair m1 < m2 < m3 for each
+    m1 >= ``certified_from``: past ``k0`` no two forms of the run table
+    with different slopes cross, and the exact checks passed at
+    m1 = certified_from .. k0 + 1 (see ``family_certificate``)."""
+
+    k0: int
+    certified_from: int
 
 
 def _member_mask(s: NumericalSemigroup) -> int:
@@ -338,21 +368,26 @@ def verify_delta(bound: int, jobs: int = 1) -> DeltaReport:
 
     The triples are counted per m1 in closed form, not listed: the pairs
     with gcd 1 less the members of <m1, m2> above m2.  A witness family of
-    m1 holding both m2 and m3 contains the triple, so only the pairs that
-    no family holds (``_uncertified_pairs``, the families checked on every
-    call) are listed; those of embedding dimension 3 with gcd 1, the DELTA
-    triples with the paper's families, go to the odd-gap criterion in
-    lexicographic order.  ``jobs`` is accepted and ignored: the census runs
-    in one process, up to CENSUS_MAX_BOUND.
+    m1 holding both m2 and m3 contains the triple, and the certificate
+    checked on every call (``family_certificate``) shows that the families
+    hold every pair for m1 >= 5.  So only the pairs of m1 in {3, 4} that
+    no family holds (``_uncertified_pairs``) are listed; those of
+    embedding dimension 3 with gcd 1, the DELTA triples with the paper's
+    families, go to the odd-gap criterion in lexicographic order.
+    ``jobs`` is accepted and ignored: the census runs in one process, up
+    to CENSUS_MAX_BOUND.
     """
     if bound < 3:
         raise DomainError(f"bound must be at least 3, got {bound}")
     if bound > CENSUS_MAX_BOUND:
         raise DomainError(f"bound must be at most {CENSUS_MAX_BOUND}, got {bound}")
+    certified_from = family_certificate().certified_from
     examined = searched = 0
     flagged = []
     for m1 in range(3, bound - 1):
         examined += _gcd_one_pairs(m1, bound) - _members_above(m1, bound)
+        if m1 >= certified_from:
+            continue
         for m2, m3 in _uncertified_pairs(m1, bound, _family_masks(m1)):
             if m2 % m1 == 0 or gcd(m1, m2, m3) > 1:
                 continue
@@ -392,24 +427,80 @@ def _symmetric_mask(runs: list[tuple[int, int]], m1: int, frob: int) -> int:
 
 def _family_masks(m1: int) -> list[tuple[int, int]]:
     """Membership mask over [0, F] and Frobenius number F of each witness
-    family of m1 >= 3: {0} and runs linear in m1, checked on every call by
+    family of m1 >= 3: ``_FAMILY_RUNS`` at m1, checked by
     ``_symmetric_mask``.  All four for m1 >= 4, the first two for m1 = 3,
     where the last two formulas are not closed (3 + 3 = 6 is missing)."""
-    families = [
-        ([(0, 0), (m1, 2 * m1 - 2)], 2 * m1 - 1),
-        ([(0, 0), (m1, m1), (m1 + 2, 2 * m1)], 2 * m1 + 1),
-        ([(0, 0), (m1, m1), (2 * m1 - 1, 3 * m1 - 4), (3 * m1 - 2, 4 * m1 - 4)], 4 * m1 - 3),
-        ([(0, 0), (m1, m1 + 1), (m1 + 4, 2 * m1 + 2)], 2 * m1 + 3),
-    ]
-    return [(_symmetric_mask(runs, m1, f), f) for runs, f in families[: 2 if m1 == 3 else 4]]
+    masks = []
+    for runs, (slope, offset) in _FAMILY_RUNS[: 2 if m1 == 3 else 4]:
+        frob = slope * m1 + offset
+        ends = [(a * m1 + b, c * m1 + d) for (a, b), (c, d) in runs]
+        masks.append((_symmetric_mask(ends, m1, frob), frob))
+    return masks
+
+
+def _compared_forms() -> Iterator[list[Form]]:
+    """The groups of forms of ``_FAMILY_RUNS`` that the checks compare with
+    one another.  One per family for its closure and symmetry: its run
+    endpoints, the endpoints of each sum of two of its runs, its F and
+    m1.  One for the cut at window 4·m1: every run endpoint, each F, m1
+    and 4·m1."""
+    cut = [(1, 0), (4, 0)]
+    for runs, frob in _FAMILY_RUNS:
+        group = [frob, (1, 0)]
+        for ends in zip(*runs):  # the starts, then the ends
+            cut += ends
+            group += ends
+            group += [(s + t, u + v) for (s, u), (t, v) in combinations_with_replacement(ends, 2)]
+        cut.append(frob)
+        yield group
+    yield cut
+
+
+def _crossing_bound(forms: list[Form]) -> int:
+    """The least integer m1 from which no two of ``forms``, each also ±1,
+    with different slopes cross: forms of slope s exceed those of slope
+    t < s once s·m1 + (least offset) - 1 > t·m1 + (greatest offset) + 1.
+    Neighbouring slopes suffice, as that order is transitive."""
+    forms = sorted(forms)
+    high = dict(forms)  # slope -> greatest offset, slopes ascending
+    low = dict(reversed(forms))  # slope -> least offset
+    slopes = list(high)
+    return max((high[t] - low[s] + 2) // (s - t) + 1 for t, s in zip(slopes, slopes[1:]))
+
+
+def family_certificate() -> FamilyCertificate:
+    """Certify the witness families for every m1 >= 5 at once: each is
+    symmetric of multiplicity m1 with its stated F, and together they hold
+    every pair m1 < m2 < m3, at any bound.
+
+    Every set the checks build (the runs, their sums, the members above F,
+    the window (m1, 4·m1] and the classes of the cut) is a union of runs
+    between forms of one group of ``_compared_forms``, each also ±1.  Two
+    forms of equal slope keep their difference, and two of different
+    slopes compare the same way past their crossing point.  K0 is the
+    largest ``_crossing_bound`` of a group (at least 5).  For m1 >= K0
+    each comparison the checks make (closure, the members up to m1, F a
+    gap, each class of the cut empty) has one outcome, and
+    2·|mask| - (F + 1) is one linear function of m1.  So exact checks at
+    m1 = 5 .. K0 + 1, two points from K0 on, hold for every m1 >= 5.  The
+    window 4·m1 is enough: with the cut there empty, each m2 < 4·m1 is in
+    some family (else (m2, 4·m1) would be left), and each m3 > 4·m1 - 3,
+    the largest F, is in all four.  Raises InvariantViolation if a check
+    fails."""
+    k0 = max(5, *map(_crossing_bound, _compared_forms()))
+    for m1 in range(5, k0 + 2):
+        if _uncertified_pairs(m1, 4 * m1, _family_masks(m1)):
+            raise InvariantViolation(f"the witness families of {m1} leave pairs up to {4 * m1}")
+    return FamilyCertificate(k0, 5)
 
 
 def witness_families(m1: int) -> list[NumericalSemigroup]:
     """The four symmetric families of multiplicity m1 >= 5, one of which
     contains each embedding-dimension-3 triple of that multiplicity: runs,
     not generators, checked by run sums to be symmetric with Frobenius
-    number 2*m1 - 1, 2*m1 + 1, 4*m1 - 3 and 2*m1 + 3.  The census cuts by
-    the same runs down to m1 = 3, where they leave DELTA."""
+    number 2*m1 - 1, 2*m1 + 1, 4*m1 - 3 and 2*m1 + 3.  The census
+    certifies the same runs for every m1 >= 5 (``family_certificate``) and
+    cuts by them at m1 in {3, 4}, where they leave DELTA."""
     if m1 < 5:
         raise DomainError(f"witness families are defined for multiplicity >= 5, got {m1}")
     return [_semigroup_from_mask(mask, frob, m1) for mask, frob in _family_masks(m1)]

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hnlab import cli, oversemigroups
+from hnlab import catalogue_entries, cli, oversemigroups
 from hnlab.cli import main
 
 
@@ -222,6 +223,80 @@ def test_sym_cover_generators_and_mult_fuzz(capsys, tokens, data):
     )
     parses = bool(tokens) and all(map(_is_positive_integer, [*tokens, mult]))
     assert_one_report_or_usage_error(capsys, ["sgp", "sym-cover", *tokens, "--mult", mult], parses)
+
+
+# an integer token: small, zero, negative or huge
+INTEGER_TOKENS = st.one_of(st.integers(-5, 50), st.sampled_from([10**30, -(10**30)])).map(str)
+
+
+@st.composite
+def triple_tokens(draw) -> str:
+    """Three integer tokens joined by commas; one time in eight with one of
+    them dropped, and three in eight with one an odd token instead."""
+    entries = draw(st.lists(INTEGER_TOKENS, min_size=3, max_size=3))
+    spoil = draw(st.integers(0, 7))
+    if spoil < 3:
+        entries[spoil] = draw(ODD_TOKENS)
+    elif spoil == 3:
+        entries.pop()
+    return ",".join(entries)
+
+
+def _is_triple(token: str) -> bool:
+    parts = token.split(",")
+    return len(parts) == 3 and not any(map(_not_an_integer, parts))
+
+
+def assert_one_timed_report(capsys, argv: list[str], parses: bool) -> None:
+    """``assert_one_report_or_usage_error``, within 10 seconds.  Options
+    take their values as ``--opt=value``, so that a value starting with
+    "-" is not read as an option."""
+    started = time.perf_counter()
+    assert_one_report_or_usage_error(capsys, argv, parses)
+    assert time.perf_counter() - started < 10.0, argv
+
+
+FUZZ_SETTINGS = settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+@FUZZ_SETTINGS
+@given(triple_tokens(), triple_tokens(), st.one_of(st.none(), INTEGER_TOKENS, ODD_TOKENS))
+def test_hn_build_fuzz(capsys, a, b, e):
+    parses = _is_triple(a) and _is_triple(b) and (e is None or not _not_an_integer(e))
+    argv = ["hn", "build", f"--a={a}", f"--b={b}", *([] if e is None else [f"--e={e}"])]
+    assert_one_timed_report(capsys, argv, parses)
+
+
+@FUZZ_SETTINGS
+@given(
+    st.one_of(
+        triple_tokens(),  # and some m1 < m2 < m3 with m1 in {3, 4}, which are solved
+        st.tuples(st.integers(3, 4), st.integers(5, 30), st.integers(31, 60)).map(
+            lambda m: ",".join(map(str, m))
+        ),
+    )
+)
+def test_hn_solve_fuzz(capsys, m):
+    assert_one_timed_report(capsys, ["hn", "solve", f"--m={m}"], _is_triple(m))
+
+
+@FUZZ_SETTINGS
+@given(st.sampled_from(catalogue_entries()), st.data())
+def test_catalogue_check_fuzz(capsys, entry, data):
+    # each value is often the catalogued one, so that some examples are re-checked
+    ident = data.draw(st.one_of(st.just(entry.id), st.text(max_size=8)))
+    n = data.draw(st.one_of(st.just(str(entry.n)), INTEGER_TOKENS, ODD_TOKENS))
+    m = data.draw(st.one_of(st.just(",".join(map(str, entry.m))), triple_tokens()))
+    argv = ["catalogue", "check", f"--id={ident}", f"--n={n}", f"--m={m}"]
+    assert_one_timed_report(capsys, argv, _is_positive_integer(n) and _is_triple(m))
+
+
+@FUZZ_SETTINGS
+@given(st.one_of(st.integers(-1, 8).map(str), INTEGER_TOKENS, ODD_TOKENS))
+def test_cases_fuzz(capsys, e):
+    assert_one_timed_report(capsys, ["cases", f"--e={e}"], _is_positive_integer(e))
 
 
 # ── hn ───────────────────────────────────────────────────────────────────────

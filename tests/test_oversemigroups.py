@@ -20,8 +20,10 @@ from hnlab import (
     DELTA,
     DeltaReport,
     DomainError,
+    FamilyCertificate,
     InvariantViolation,
     UnsupportedMultiplicity,
+    family_certificate,
     from_generators,
     has_symmetric_cover,
     is_symmetric,
@@ -35,6 +37,7 @@ from hnlab import oversemigroups
 from hnlab.cli import main
 from hnlab.oversemigroups import (
     CENSUS_MAX_BOUND,
+    _FAMILY_RUNS,
     _bits,
     _family_masks,
     _floor_sum,
@@ -606,6 +609,10 @@ def test_census_at_the_cap_is_fast():
     assert elapsed < 2.0, elapsed
 
 
+#: A certificate for no m1 of any census: the cut runs at every m1.
+NO_CERTIFICATE = FamilyCertificate(k0=5, certified_from=CENSUS_MAX_BOUND)
+
+
 def test_pigeonhole_lists_exactly_the_uncertified_triples(monkeypatch):
     # Stand-in families with overlapping gaps, so that the third-entry mask
     # is cut by several, and with gaps shared by all four: the
@@ -626,6 +633,7 @@ def test_pigeonhole_lists_exactly_the_uncertified_triples(monkeypatch):
             families = [_semigroup_from_mask(mask, frob, m1) for mask in picks]
             stand_ins = [(mask, frob) for mask in picks]
             monkeypatch.setattr(oversemigroups, "_family_masks", lambda m, s=stand_ins: s)
+            monkeypatch.setattr(oversemigroups, "family_certificate", lambda: NO_CERTIFICATE)
             for bound in (m1 + 2, 2 * m1 + 3, frob + 4):
                 expected = [
                     t
@@ -822,6 +830,121 @@ def test_family_gaps_above_m1_are_linear_and_disjoint():
         assert gaps[1] == {m1 + 1, 2 * m1 + 1}, m1
         assert gaps[3] == {m1 + 2, m1 + 3, 2 * m1 + 3}, m1
         assert not gaps[0] & gaps[1] and not gaps[0] & gaps[3] and not gaps[1] & gaps[3], m1
+
+
+# ── the certificate for every m1 >= 5 ────────────────────────────────────────
+
+
+def listed_forms(table) -> list[list[tuple[int, int]]]:
+    """The forms (slope, offset) of a run table, in the groups the checks
+    compare: per family its run endpoints, the endpoints of each sum of two
+    of its runs, its F and m1; and for the cut every run endpoint, each F,
+    m1 and 4·m1."""
+    groups = []
+    cut = [(1, 0), (4, 0)]
+    for runs, frob in table:
+        group = [frob, (1, 0)]
+        for i, run in enumerate(runs):
+            group += run
+            for other in runs[i:]:
+                group += [(x[0] + y[0], x[1] + y[1]) for x, y in zip(run, other)]
+            cut += run
+        groups.append(group)
+        cut.append(frob)
+    return [*groups, cut]
+
+
+def plain_crossing_bound(forms: list[tuple[int, int]]) -> int:
+    """The least integer from which no two of ``forms``, each also ±1, with
+    different slopes meet: one past the floor of every crossing point."""
+    bound = 0
+    for (s, o), (t, p) in combinations(forms, 2):
+        if s != t:
+            for shift in range(-2, 3):  # (p ± 1) - (o ± 1)
+                bound = max(bound, (p - o + shift) // (s - t) + 1)
+    return bound
+
+
+def test_certificate_k0_is_the_largest_crossing_point():
+    groups = listed_forms(_FAMILY_RUNS)
+    simple = plain_crossing_bound([form for group in groups for form in group])
+    certificate = family_certificate()
+    assert simple >= certificate.k0
+    assert certificate.k0 == max(5, *map(plain_crossing_bound, groups))
+    assert (simple, certificate.k0, certificate.certified_from) == (15, 10, 5)
+
+
+def family_sets(m1: int) -> list[tuple[set[int], int]]:
+    """The members up to F and F of each witness family of m1, read off the
+    run table as plain sets."""
+    return [
+        ({x for (a, b), (c, d) in runs for x in range(a * m1 + b, c * m1 + d + 1)}, s * m1 + o)
+        for runs, (s, o) in _FAMILY_RUNS[: 2 if m1 == 3 else 4]
+    ]
+
+
+def test_families_match_the_set_oracle_past_k0():
+    for m1 in range(3, family_certificate().k0 + 51):
+        masks = _family_masks(m1)
+        assert len(masks) == (2 if m1 == 3 else 4), m1
+        for (mask, frob), (members, f) in zip(masks, family_sets(m1)):
+            assert frob == f > m1 and max(members) < f, m1
+            assert mask == sum(1 << x for x in members), m1
+            assert {x + y for x in members for y in members if x + y <= f} <= members, m1
+            assert {x for x in members if x <= m1} == {0, m1}, m1
+            assert all((x in members) != (f - x in members) for x in range(f + 1)), m1
+
+
+def test_families_hold_every_pair_up_to_4m1_past_k0():
+    # the per-pair cut of mask_census over every pair m2 < m3 <= 4·m1
+    for m1 in range(5, family_certificate().k0 + 51):
+        bound = 4 * m1
+        family_gaps = [(2 << frob) - 1 ^ mask for mask, frob in _family_masks(m1)]
+        for m2 in range(m1 + 1, bound):
+            third = (2 << bound) - (2 << m2)  # (m2, bound]
+            for gaps in family_gaps:
+                if not gaps >> m2 & 1:
+                    third &= gaps
+            assert third == 0, (m1, m2)
+
+
+def with_family(index: int, family) -> tuple:
+    """The run table with the family at ``index`` replaced."""
+    return tuple(family if i == index else f for i, f in enumerate(_FAMILY_RUNS))
+
+
+PERTURBED_TABLES = {  # each with the check that fails
+    # family 3's middle run from 2·m1: 2·m1 - 1 a gap, too few members
+    "family 3 from 2m1": (
+        with_family(
+            2, ((((0, 0), (0, 0)), ((1, 0), (1, 0)), ((2, 0), (3, -4)), ((3, -2), (4, -4))), (4, -3))
+        ),
+        "not symmetric",
+    ),
+    # family 4's F one higher: 2·m1 + 4 = m1 + (m1 + 4) is a member
+    "family 4 F + 1": (with_family(3, (_FAMILY_RUNS[3][0], (2, 4))), "not symmetric"),
+    # family 1 as family 2: each symmetric, but (m1 + 1, m1 + 2) in none
+    "family 1 as family 2": (with_family(0, _FAMILY_RUNS[1]), "leave pairs"),
+}
+
+
+@pytest.mark.parametrize("name", PERTURBED_TABLES)
+def test_a_perturbed_run_table_fails_the_certificate(monkeypatch, capsys, name):
+    table, failure = PERTURBED_TABLES[name]
+    monkeypatch.setattr(oversemigroups, "_FAMILY_RUNS", table)
+    with pytest.raises(InvariantViolation, match=failure):
+        family_certificate()
+    with pytest.raises(InvariantViolation):  # checked on every call, with no m1 >= 5 counted
+        verify_delta(3)
+    assert main(["delta", "verify", "--bound", "40", "--format", "json"]) == 3
+    assert json.loads(capsys.readouterr().out)["error"]["code"] == "InvariantViolation"
+
+
+@pytest.mark.parametrize("bounds", [range(3, 61), [100], [400], [2000]])
+def test_the_certified_census_matches_the_cut_at_every_m1(monkeypatch, bounds):
+    certified = [verify_delta(bound) for bound in bounds]
+    monkeypatch.setattr(oversemigroups, "family_certificate", lambda: NO_CERTIFICATE)
+    assert [verify_delta(bound) for bound in bounds] == certified
 
 
 def test_witness_families_reject_small_multiplicity():
