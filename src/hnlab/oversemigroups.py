@@ -113,7 +113,7 @@ class DeltaReport:
 @dataclass(frozen=True)
 class FamilyCertificate:
     """The witness families hold every pair m1 < m2 < m3 for each
-    m1 >= ``certified_from``: past ``k0`` no two forms of the run table
+    m1 >= ``certified_from``: from ``k0`` on no two forms of the run table
     with different slopes cross, and the exact checks passed at
     m1 = certified_from .. k0 + 1 (see ``family_certificate``)."""
 

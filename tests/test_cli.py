@@ -248,14 +248,14 @@ def _is_triple(token: str) -> bool:
 
 
 def assert_one_timed_report(capsys, argv: list[str], parses: bool) -> None:
-    """``assert_one_report_or_usage_error``, within 10 seconds.  Options
-    take their values as ``--opt=value``, so that a value starting with
-    "-" is not read as an option."""
+    """``assert_one_report_or_usage_error``, within 10 seconds."""
     started = time.perf_counter()
     assert_one_report_or_usage_error(capsys, argv, parses)
     assert time.perf_counter() - started < 10.0, argv
 
 
+# The fuzz tests below pass each value as --opt=value, so that a value
+# starting with "-" is not read as an option.
 FUZZ_SETTINGS = settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
