@@ -23,15 +23,12 @@ the squarefree divisors of m1 for the gcd, less the members of <m1, m2>
 above m2, two of whose terms sum in closed form and the rest by floor
 sums.  A witness family of m1 ({0} and runs linear in m1, checked by
 sums of runs) that holds both m2 and m3 contains the triple, so only
-the pairs no family holds need the criterion: the cut splits the m3
-into classes by the families they belong to, and keeps with each class
-the m2 that are gaps of all of them.  For every m1 >= 5 that cut is
-empty at every bound, by a certificate checked on every call
-(``family_certificate``: exact checks at finitely many m1 and a
-crossing-point lemma on the run table), so the census cuts only
-m1 in {3, 4}, where the paper's families leave exactly DELTA for the
-criterion.  The cover witness and the families pass one check of
-symmetry, ``_is_symmetric_mask``.
+the triples no family holds need the criterion.  A certificate checked
+on every call (``family_certificate``: a cut at window 4·m1 at finitely
+many m1 and a crossing-point lemma on the run table) lists them, the
+same at every bound: none for m1 >= 5, and exactly DELTA with the
+paper's families.  The cover witness and the families pass one check
+of symmetry, ``_is_symmetric_mask``.
 """
 
 from __future__ import annotations
@@ -48,7 +45,7 @@ from .semigroup import NumericalSemigroup, from_generators, profile
 #: The four triples not contained in any symmetric semigroup of equal multiplicity.
 DELTA: tuple[tuple[int, int, int], ...] = ((3, 4, 5), (3, 5, 7), (4, 5, 7), (4, 7, 9))
 #: The largest census bound: the count takes O(bound log bound) floor sums,
-#: and only the cut at m1 in {3, 4} reads masks of bound bits.
+#: the only work that grows with the bound.
 CENSUS_MAX_BOUND = 2000
 
 Form = tuple[int, int]  # (slope, offset): the integer slope·m1 + offset
@@ -112,13 +109,12 @@ class DeltaReport:
 
 @dataclass(frozen=True)
 class FamilyCertificate:
-    """The witness families hold every pair m1 < m2 < m3 for each
-    m1 >= ``certified_from``: from ``k0`` on no two forms of the run table
-    with different slopes cross, and the exact checks passed at
-    m1 = certified_from .. k0 + 1 (see ``family_certificate``)."""
+    """The triples of embedding dimension 3 with gcd 1 that no witness
+    family holds, at any m1 and bound, in lexicographic order; the exact
+    checks of ``family_certificate`` passed at m1 = 3 .. ``k0`` + 1."""
 
     k0: int
-    certified_from: int
+    leftover: tuple[tuple[int, int, int], ...]
 
 
 def _member_mask(s: NumericalSemigroup) -> int:
@@ -296,28 +292,27 @@ def _floor_sum(n: int, m: int, a: int, b: int) -> int:
     return total
 
 
-def _gcd_one_pairs(m1: int, bound: int) -> int:
+def _gcd_one_pairs(m1: int, bound: int, divisors: list[tuple[int, int]]) -> int:
     """The pairs m1 < m2 < m3 <= bound with m1 not dividing m2 and
-    gcd(m1, m2, m3) = 1.  By Möbius over the squarefree e | m1, with
-    q = m1/e and n = ⌊bound/e⌋: the pairs q < b < c <= n, less those with
-    b = k·q for 2 <= k <= ⌊n/q⌋."""
+    gcd(m1, m2, m3) = 1.  By Möbius over the squarefree e | m1 in
+    ``divisors``, with q = m1/e and n = ⌊bound/e⌋: the pairs
+    q < b < c <= n, less those with b = k·q for 2 <= k <= ⌊n/q⌋."""
     total = 0
-    for e, mu in _squarefree_divisors(m1):
+    for e, mu in divisors:
         q, n = m1 // e, bound // e
         k = n // q
         total += mu * ((n - q) * (n - q - 1) // 2 - (k - 1) * n + q * (k * (k + 1) // 2 - 1))
     return total
 
 
-def _members_above(m1: int, bound: int) -> int:
+def _members_above(m1: int, bound: int, divisors: list[tuple[int, int]]) -> int:
     """The members of <m1, m2> in (m2, bound], summed over the m2 in
     (m1, bound) coprime to m1.  Each member is i·m1 + j·m2 for one i >= 0
     and 0 <= j < m1.  With K, r = divmod(bound, m1) and m2 = t·m1 + s,
     those with j = 0 number K - t and those with j = 1 number
     K - t - [s > r], so both sum in closed form over the φ(m1) residues s
     and the c(r) of them up to r.  Each 2 <= j <= bound/(m1 + 1) is one
-    floor sum, with a negative slope, per squarefree e | m1 over m2 = e·t."""
-    divisors = _squarefree_divisors(m1)
+    floor sum, with a negative slope, per e in ``divisors`` over m2 = e·t."""
     k, r = divmod(bound, m1)
     phi = sum(mu * (m1 // e) for e, mu in divisors)
     c_r = sum(mu * (r // e) for e, mu in divisors)
@@ -362,42 +357,40 @@ def _uncertified_pairs(
     )
 
 
+def _dimension_3_triples(m1: int, pairs: list[tuple[int, int]]) -> list[tuple[int, int, int]]:
+    """The triples (m1, m2, m3) of ``pairs`` with gcd 1 and embedding
+    dimension 3: m1 does not divide m2, and m3 is not in <m1, m2>."""
+    return [
+        (m1, m2, m3)
+        for m2, m3 in pairs
+        if m2 % m1 and gcd(m1, m2, m3) == 1 and all((m3 - j * m2) % m1 for j in range(m3 // m2 + 1))
+    ]
+
+
 def verify_delta(bound: int, jobs: int = 1) -> DeltaReport:
     """Flag every embedding-dimension-3 triple within ``bound`` that has no
     symmetric cover, and compare against the known four.
 
     The triples are counted per m1 in closed form, not listed: the pairs
-    with gcd 1 less the members of <m1, m2> above m2.  A witness family of
-    m1 holding both m2 and m3 contains the triple, and the certificate
-    checked on every call (``family_certificate``) shows that the families
-    hold every pair for m1 >= 5.  So only the pairs of m1 in {3, 4} that
-    no family holds (``_uncertified_pairs``) are listed; those of
-    embedding dimension 3 with gcd 1, the DELTA triples with the paper's
-    families, go to the odd-gap criterion in lexicographic order.
-    ``jobs`` is accepted and ignored: the census runs in one process, up
-    to CENSUS_MAX_BOUND.
+    with gcd 1 less the members of <m1, m2> above m2, from one
+    factorization of m1.  The certificate checked on every call
+    (``family_certificate``) lists the triples no witness family holds;
+    those within ``bound``, DELTA with the paper's families, go to the
+    odd-gap criterion in lexicographic order.  ``jobs`` is accepted and
+    ignored: the census runs in one process, up to CENSUS_MAX_BOUND.
     """
     if bound < 3:
         raise DomainError(f"bound must be at least 3, got {bound}")
     if bound > CENSUS_MAX_BOUND:
         raise DomainError(f"bound must be at most {CENSUS_MAX_BOUND}, got {bound}")
-    certified_from = family_certificate().certified_from
-    examined = searched = 0
-    flagged = []
+    searched = [t for t in family_certificate().leftover if t[2] <= bound]
+    examined = 0
     for m1 in range(3, bound - 1):
-        examined += _gcd_one_pairs(m1, bound) - _members_above(m1, bound)
-        if m1 >= certified_from:
-            continue
-        for m2, m3 in _uncertified_pairs(m1, bound, _family_masks(m1)):
-            if m2 % m1 == 0 or gcd(m1, m2, m3) > 1:
-                continue
-            if any((m3 - j * m2) % m1 == 0 for j in range(min(m1, m3 // m2 + 1))):
-                continue  # m3 is in <m1, m2>
-            searched += 1
-            if not has_symmetric_cover(from_generators((m1, m2, m3))):
-                flagged.append((m1, m2, m3))
+        divisors = _squarefree_divisors(m1)
+        examined += _gcd_one_pairs(m1, bound, divisors) - _members_above(m1, bound, divisors)
+    flagged = tuple(t for t in searched if not has_symmetric_cover(from_generators(t)))
     expected = tuple(t for t in DELTA if t[2] <= bound)
-    return DeltaReport(bound, tuple(flagged), expected, examined, searched)
+    return DeltaReport(bound, flagged, expected, examined, len(searched))
 
 
 def _is_symmetric_mask(mask: int, m: int, frob: int) -> bool:
@@ -469,9 +462,9 @@ def _crossing_bound(forms: list[Form]) -> int:
 
 
 def family_certificate() -> FamilyCertificate:
-    """Certify the witness families for every m1 >= 5 at once: each is
-    symmetric of multiplicity m1 with its stated F, and together they hold
-    every pair m1 < m2 < m3, at any bound.
+    """Certify the witness families for every m1 >= 3 at once: each is
+    symmetric of multiplicity m1 with its stated F, and the pairs
+    m1 < m2 < m3 they leave are the same at every bound, none for m1 >= 5.
 
     Every set the checks build (the runs, their sums, the members above F,
     the window (m1, 4·m1] and the classes of the cut) is a union of runs
@@ -480,18 +473,25 @@ def family_certificate() -> FamilyCertificate:
     slopes compare the same way past their crossing point.  K0 is the
     largest ``_crossing_bound`` of a group (at least 5).  For m1 >= K0
     each comparison the checks make (closure, the members up to m1, F a
-    gap, each class of the cut empty) has one outcome, and
-    2·|mask| - (F + 1) is one linear function of m1.  So exact checks at
-    m1 = 5 .. K0 + 1, two points from K0 on, hold for every m1 >= 5.  The
-    window 4·m1 is enough: with the cut there empty, each m2 < 4·m1 is in
-    some family (else (m2, 4·m1) would be left), and each m3 > 4·m1 - 3,
-    the largest F, is in all four.  Raises InvariantViolation if a check
-    fails."""
+    gap, each F below 4·m1, each class of the cut empty) has one outcome,
+    and 2·|mask| - (F + 1) is one linear function of m1.  So exact checks
+    at m1 = 3 .. K0 + 1, two points from K0 on, hold for every m1 >= 3.
+    The window 4·m1 is enough: with each F below it and no pair (m2, 4·m1)
+    left, each m2 < 4·m1 is in some family and each m3 >= 4·m1 in all.
+    The leftover is the pairs left at m1 in {3, 4} that form triples of
+    embedding dimension 3 with gcd 1.  Raises InvariantViolation if a
+    check fails."""
     k0 = max(5, *map(_crossing_bound, _compared_forms()))
-    for m1 in range(5, k0 + 2):
-        if _uncertified_pairs(m1, 4 * m1, _family_masks(m1)):
-            raise InvariantViolation(f"the witness families of {m1} leave pairs up to {4 * m1}")
-    return FamilyCertificate(k0, 5)
+    leftover = []
+    for m1 in range(3, k0 + 2):
+        window, masks = 4 * m1, _family_masks(m1)
+        pairs = _uncertified_pairs(m1, window, masks)
+        if pairs and m1 >= 5:
+            raise InvariantViolation(f"the witness families of {m1} leave pairs up to {window}")
+        if max(frob for _, frob in masks) >= window or any(m3 == window for _, m3 in pairs):
+            raise InvariantViolation(f"the witness families of {m1} leave pairs above {window}")
+        leftover += _dimension_3_triples(m1, pairs)
+    return FamilyCertificate(k0, tuple(leftover))
 
 
 def witness_families(m1: int) -> list[NumericalSemigroup]:
@@ -499,8 +499,7 @@ def witness_families(m1: int) -> list[NumericalSemigroup]:
     contains each embedding-dimension-3 triple of that multiplicity: runs,
     not generators, checked by run sums to be symmetric with Frobenius
     number 2*m1 - 1, 2*m1 + 1, 4*m1 - 3 and 2*m1 + 3.  The census
-    certifies the same runs for every m1 >= 5 (``family_certificate``) and
-    cuts by them at m1 in {3, 4}, where they leave DELTA."""
+    certifies the same runs at every m1 >= 3 (``family_certificate``)."""
     if m1 < 5:
         raise DomainError(f"witness families are defined for multiplicity >= 5, got {m1}")
     return [_semigroup_from_mask(mask, frob, m1) for mask, frob in _family_masks(m1)]

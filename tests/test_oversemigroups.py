@@ -20,7 +20,6 @@ from hnlab import (
     DELTA,
     DeltaReport,
     DomainError,
-    FamilyCertificate,
     InvariantViolation,
     UnsupportedMultiplicity,
     family_certificate,
@@ -39,13 +38,16 @@ from hnlab.oversemigroups import (
     CENSUS_MAX_BOUND,
     _FAMILY_RUNS,
     _bits,
+    _dimension_3_triples,
     _family_masks,
     _floor_sum,
     _gcd_one_pairs,
     _iter_cover_masks,
     _members_above,
     _semigroup_from_mask,
+    _squarefree_divisors,
     _symmetric_mask,
+    _uncertified_pairs,
 )
 from hnlab.semigroup import NumericalSemigroup
 
@@ -538,7 +540,8 @@ def test_census_count_matches_brute_force(m1, width):
     # the triples of multiplicity m1 the census counts, against enumeration
     bound = m1 + 2 + width
     expected = sum(third.bit_count() for third in brute_force_third_entries(m1, bound).values())
-    assert _gcd_one_pairs(m1, bound) - _members_above(m1, bound) == expected
+    divisors = _squarefree_divisors(m1)
+    assert _gcd_one_pairs(m1, bound, divisors) - _members_above(m1, bound, divisors) == expected
 
 
 @settings(max_examples=500, deadline=None)
@@ -562,7 +565,7 @@ def test_count_members_matches_brute_force(m1, step, width):
             for shift in range(0, bound + 1, m2):
                 members |= multiples << shift
             expected += ((members & full) >> (m2 + 1)).bit_count()
-    assert _members_above(m1, bound) == expected
+    assert _members_above(m1, bound, _squarefree_divisors(m1)) == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -582,7 +585,7 @@ def test_count_coprime_matches_brute_force(d, a, width):
             if g not in coprime:
                 coprime[g] = [0, *accumulate(gcd(n, g) == 1 for n in range(m1 + 1, bound + 1))]
             expected += coprime[g][-1] - coprime[g][m2 - m1]
-    assert _gcd_one_pairs(m1, bound) == expected
+    assert _gcd_one_pairs(m1, bound, _squarefree_divisors(m1)) == expected
 
 
 def test_census_at_bound_300_is_fast():
@@ -609,22 +612,21 @@ def test_census_at_the_cap_is_fast():
     assert elapsed < 2.0, elapsed
 
 
-#: A certificate for no m1 of any census: the cut runs at every m1.
-NO_CERTIFICATE = FamilyCertificate(k0=5, certified_from=CENSUS_MAX_BOUND)
+def cut_triples(bound: int, families) -> list[tuple[int, int, int]]:
+    """The cut at ``bound`` and its filter at every m1, by ``families(m1)``:
+    the candidate triples in no family, in lexicographic order."""
+    return [
+        t
+        for m1 in range(3, bound - 1)
+        for t in _dimension_3_triples(m1, _uncertified_pairs(m1, bound, families(m1)))
+    ]
 
 
-def test_pigeonhole_lists_exactly_the_uncertified_triples(monkeypatch):
-    # Stand-in families with overlapping gaps, so that the third-entry mask
-    # is cut by several, and with gaps shared by all four: the
-    # oversemigroups of multiplicity m1 of a few bases, used for every
-    # m1.  The triples the criterion sees are exactly those in no stand-in.
-    searched = []
-
-    def recording_criterion(s):
-        searched.append(s.minimal_gens)
-        return True
-
-    monkeypatch.setattr(oversemigroups, "has_symmetric_cover", recording_criterion)
+def test_pigeonhole_lists_exactly_the_uncertified_triples():
+    # Stand-in families with overlapping gaps, so that the window is cut
+    # by several, and with gaps shared by all four: the oversemigroups of
+    # multiplicity m1 of a few bases, used for every m1.  The cut and its
+    # filter keep exactly the candidate triples in no stand-in.
     for gens in ([7, 9, 10], [7, 8], [8, 11, 13, 14], [9, 10]):
         base = from_generators(gens)
         m1, frob = base.multiplicity, base.frobenius
@@ -632,17 +634,13 @@ def test_pigeonhole_lists_exactly_the_uncertified_triples(monkeypatch):
         for picks in (masks[:4], masks[-4:], [masks[0]] * 4, masks[::max(1, len(masks) // 4)][:4]):
             families = [_semigroup_from_mask(mask, frob, m1) for mask in picks]
             stand_ins = [(mask, frob) for mask in picks]
-            monkeypatch.setattr(oversemigroups, "_family_masks", lambda m, s=stand_ins: s)
-            monkeypatch.setattr(oversemigroups, "family_certificate", lambda: NO_CERTIFICATE)
             for bound in (m1 + 2, 2 * m1 + 3, frob + 4):
                 expected = [
                     t
                     for t in candidate_triples(bound)
                     if not any(t[1] in s and t[2] in s for s in families)
                 ]
-                searched.clear()
-                assert verify_delta(bound).triples_searched == len(expected), (gens, bound)
-                assert searched == expected, (gens, bound)
+                assert cut_triples(bound, lambda m: stand_ins) == expected, (gens, bound)
 
 
 @pytest.mark.parametrize("bound", [9, 12, 15])
@@ -871,7 +869,7 @@ def test_certificate_k0_is_the_largest_crossing_point():
     certificate = family_certificate()
     assert simple >= certificate.k0
     assert certificate.k0 == max(5, *map(plain_crossing_bound, groups))
-    assert (simple, certificate.k0, certificate.certified_from) == (15, 10, 5)
+    assert (simple, certificate.k0, certificate.leftover) == (15, 10, DELTA)
 
 
 def family_sets(m1: int) -> list[tuple[set[int], int]]:
@@ -940,11 +938,46 @@ def test_a_perturbed_run_table_fails_the_certificate(monkeypatch, capsys, name):
     assert json.loads(capsys.readouterr().out)["error"]["code"] == "InvariantViolation"
 
 
+def with_masks_at(monkeypatch, m1: int, keep) -> None:
+    """Patch ``_family_masks`` to keep only ``keep(masks)`` of the families of m1."""
+    def masks(m: int) -> list[tuple[int, int]]:
+        return keep(_family_masks(m)) if m == m1 else _family_masks(m)
+
+    monkeypatch.setattr(oversemigroups, "_family_masks", masks)
+
+
+def test_the_certificate_checks_the_window(monkeypatch):
+    # with family 1 alone at m1 = 3, 5 is in no family: (5, 12) is left at
+    # the window 12, and (5, m3) for every m3 above it
+    with_masks_at(monkeypatch, 3, lambda masks: masks[:1])
+    with pytest.raises(InvariantViolation, match="of 3 leave pairs above 12"):
+        family_certificate()
+
+
+def test_a_smaller_leftover_still_leaves_the_criterion_to_decide(monkeypatch):
+    # without family 1 at m1 = 4 every m2 < 16 is still in a family, so the
+    # certificate holds with more triples left; the criterion, not the
+    # table, flags exactly DELTA
+    with_masks_at(monkeypatch, 4, lambda masks: masks[1:])
+    families = mask_families(4)[1:]
+    extra = [
+        t
+        for t in candidate_triples(16)
+        if t[0] == 4 and not any(t[1] in s and t[2] in s for s in families)
+    ]
+    leftover = family_certificate().leftover
+    assert leftover == (*DELTA[:2], *extra) and len(leftover) == 8
+    report = verify_delta(40)
+    assert report.flagged == DELTA and report.triples_searched == 8
+
+
 @pytest.mark.parametrize("bounds", [range(3, 61), [100], [400], [2000]])
-def test_the_certified_census_matches_the_cut_at_every_m1(monkeypatch, bounds):
-    certified = [verify_delta(bound) for bound in bounds]
-    monkeypatch.setattr(oversemigroups, "family_certificate", lambda: NO_CERTIFICATE)
-    assert [verify_delta(bound) for bound in bounds] == certified
+def test_the_certified_census_matches_the_cut_at_every_m1(bounds):
+    for bound in bounds:
+        searched = cut_triples(bound, _family_masks)
+        flagged = tuple(t for t in searched if not has_symmetric_cover(from_generators(t)))
+        report = verify_delta(bound)
+        assert (report.flagged, report.triples_searched) == (flagged, len(searched)), bound
 
 
 def test_witness_families_reject_small_multiplicity():
