@@ -8,6 +8,8 @@ and the worked example catalogue (:mod:`hnlab.catalogue`).  The
 command-line entry point lives in :mod:`hnlab.cli`.
 """
 
+from types import ModuleType as _ModuleType
+
 from .cases import CaseRecord, ConsistencyReport, check_consistency, enumerate_cases
 from .catalogue import (
     ExampleReport,
@@ -77,64 +79,9 @@ from .semigroup import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BadMultiplicity",
-    "Binomial",
-    "CaseRecord",
-    "ConsistencyReport",
-    "CoverQuery",
-    "CoverVerdict",
-    "DELTA",
-    "DeltaReport",
-    "DimensionMismatch",
-    "DomainError",
-    "EmptyInput",
-    "ExampleReport",
-    "ExampleSpec",
-    "ExponentPair",
-    "Factor",
-    "FamilyCertificate",
-    "FrobeniusCapExceeded",
-    "GapProfile",
-    "HNIdeal",
-    "HnlabError",
-    "InconsistentRecord",
-    "InvalidGenerator",
-    "InvariantViolation",
-    "NonCofinite",
-    "NotImplementedRange",
-    "NotInCatalogue",
-    "NotMember",
-    "NumericalSemigroup",
-    "TheoremOutcome",
-    "TheoremVerdict",
-    "TraitReport",
-    "UnsupportedMultiplicity",
-    "WeightAssignment",
-    "WeightCheck",
-    "apery_set",
-    "binomial_weight_vanishes",
-    "build",
-    "catalogue_entries",
-    "check_consistency",
-    "enumerate_cases",
-    "example_spec",
-    "family_certificate",
-    "from_generators",
-    "has_symmetric_cover",
-    "is_irreducible",
-    "is_symmetric",
-    "load_catalogue",
-    "normalize",
-    "oversemigroups_with_multiplicity",
-    "profile",
-    "pseudo_frobenius",
-    "solve_exponents",
-    "symmetric_cover",
-    "theorem_verdict",
-    "traits",
-    "vanishing_check",
-    "verify_delta",
-    "verify_example",
-    "witness_families",
-]
+# The import block above is the one statement of the public names.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

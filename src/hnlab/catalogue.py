@@ -11,7 +11,7 @@ the gcd tuple must be coprime.  Field hypotheses are surfaced as free
 text, never evaluated.
 
 The case taxonomy the predictions are drawn from lives in
-:mod:`hnlab.cases`; its names are re-exported here.
+:mod:`hnlab.cases`; ``enumerate_cases`` is re-exported here.
 """
 
 from __future__ import annotations
@@ -21,12 +21,7 @@ from functools import lru_cache
 from importlib import resources
 from math import gcd
 
-from .cases import (  # noqa: F401 - the catalogue re-exports the taxonomy
-    CaseRecord,
-    ConsistencyReport,
-    check_consistency,
-    enumerate_cases,
-)
+from .cases import CaseRecord, enumerate_cases  # noqa: F401 - bench/tracing.py wraps it here
 from .errors import (
     DimensionMismatch,
     DomainError,

@@ -199,8 +199,8 @@ def solve_exponents(m: Triple) -> list[ExponentPair]:
     m1 = 3 forces a2 = a3 = b2 = b3 = 1 and a linear system with solution
     a1 = (2*m2 - m3)/3, b1 = (2*m3 - m2)/3.  m1 = 4 forces a2 = 2, the
     rest 1, and a1 = (3*m2 - m3)/4, b1 = (m3 - m2)/2 (b3 = 2 instead would
-    need a1 = (m2 - m3)/2 > 0).  The candidate is rebuilt and kept only if
-    it reproduces m exactly.  Other m1 values raise NotImplementedRange.
+    need a1 = (m2 - m3)/2 > 0).  The candidate is kept only if its
+    multipliers reproduce m exactly.  Other m1 values raise NotImplementedRange.
     """
     m1, m2, m3 = m
     if not 3 <= m1 < m2 < m3:
@@ -217,7 +217,7 @@ def solve_exponents(m: Triple) -> list[ExponentPair]:
     if a1n <= 0 or a1n % a1d or b1n <= 0 or b1n % b1d:
         return []
     pair = ExponentPair((a1n // a1d, a2, 1), (b1n // b1d, 1, 1))
-    return [pair] if build(pair).m == m else []
+    return [pair] if _multipliers(pair) == m else []
 
 
 def theorem_verdict(h: HNIdeal, e: int) -> TheoremVerdict:

@@ -40,7 +40,7 @@ from math import gcd
 from typing import Iterator
 
 from .errors import DomainError, InvariantViolation, UnsupportedMultiplicity
-from .semigroup import NumericalSemigroup, from_generators, profile
+from .semigroup import NumericalSemigroup, from_generators
 
 #: The four triples not contained in any symmetric semigroup of equal multiplicity.
 DELTA: tuple[tuple[int, int, int], ...] = ((3, 4, 5), (3, 5, 7), (4, 5, 7), (4, 7, 9))
@@ -130,10 +130,9 @@ def _member_mask(s: NumericalSemigroup) -> int:
 def _iter_cover_masks(base: NumericalSemigroup) -> Iterator[int]:
     """Yield membership masks over [0, F(base)] of every oversemigroup of the
     same multiplicity, in lexicographic order of the adjoined gap subsets."""
-    gaps = profile(base).gaps
     full = (1 << (base.frobenius + 1)) - 1
     base_mask = _member_mask(base)
-    window = gaps[base.multiplicity - 1 :]  # the gaps below m are exactly 1..m-1
+    window = list(_bits(full & ~base_mask & -(1 << base.multiplicity)))  # the gaps above m
 
     # Preorder DFS on an explicit stack of (mask, forced, next index, end
     # index) frames.  Children adjoin window[i] for next <= i < end; a node

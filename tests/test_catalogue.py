@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+from importlib import resources
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
@@ -27,8 +30,8 @@ from hnlab import (
     theorem_verdict,
     verify_example,
 )
-from hnlab import cases
-from hnlab.catalogue import ExampleSpec, _parse_factor
+from hnlab import cases, catalogue
+from hnlab.catalogue import ExampleSpec, _parse_factor, load_catalogue
 
 # ── taxonomy oracle: independent enumeration of (sigma, length) multisets ────
 
@@ -200,6 +203,20 @@ def test_catalogue_loads_the_expected_population():
     }
 
 
+def test_a_repeated_catalogue_entry_is_rejected(monkeypatch):
+    text = resources.files("hnlab").joinpath("data/decomposition_catalogue.txt").read_text("utf-8")
+    entry = next(ln for ln in text.splitlines() if ln and not ln.startswith("#"))
+    data = SimpleNamespace(read_text=lambda encoding: f"{text}\n{entry}\n")
+    root = SimpleNamespace(joinpath=lambda path: data)
+    monkeypatch.setattr(catalogue, "resources", SimpleNamespace(files=lambda package: root))
+    load_catalogue.cache_clear()
+    try:
+        with pytest.raises(InvariantViolation, match="duplicate catalogue entry"):
+            load_catalogue()
+    finally:
+        load_catalogue.cache_clear()
+
+
 def test_example_spec_known_values():
     spec = example_spec("caseab1c1_i", 2, (3, 4, 5))
     assert spec.gcd_tuple == (6, 8, 10, 7)
@@ -281,6 +298,12 @@ def test_corrupted_gcd_tuple_fails():
     bad = ExampleSpec(spec.id, spec.n, spec.m, spec.factors, (6, 8, 10), spec.predicted)
     report = verify_example(bad)
     assert not report.gcd_ok and not report.verdict
+
+
+def test_a_triple_with_no_exponent_solution_is_an_invariant_violation():
+    spec = dataclasses.replace(catalogue_entries()[0], m=(3, 5, 6))
+    with pytest.raises(InvariantViolation, match="has no exponent solution"):
+        verify_example(spec)
 
 
 def test_wpower_factors_are_skipped_not_failed():

@@ -16,6 +16,7 @@ from hnlab import (
     ExponentPair,
     HNIdeal,
     InvalidGenerator,
+    InvariantViolation,
     NotImplementedRange,
     TheoremOutcome,
     build,
@@ -24,6 +25,7 @@ from hnlab import (
     theorem_verdict,
     vanishing_check,
 )
+from hnlab import hn
 
 # The four reference matrices: exponents, generators as (plus, minus) vectors
 # over (x, y, z), multiplier triple, and value semigroup generators.
@@ -84,6 +86,12 @@ def test_non_coprime_multipliers_have_no_value_semigroup():
     assert h.m == (3, 3, 3)
     assert not h.coprime and h.value_semigroup is None
     assert vanishing_check(h)
+
+
+def test_build_cross_checks_the_two_multiplier_forms(monkeypatch):
+    monkeypatch.setattr(hn, "_multipliers", lambda e: (3, 4, 6))
+    with pytest.raises(InvariantViolation, match="disagree with expanded form"):
+        build(ExponentPair((1, 1, 1), (2, 1, 1)))  # determinantal (3, 4, 5)
 
 
 def test_exponent_pair_validation():

@@ -67,3 +67,13 @@ def test_bench_layer_functions_resolve():
     for module, func in layers:
         assert callable(getattr(importlib.import_module(f"hnlab.{module}"), func, None)), func
     assert "jobs" in inspect.signature(hnlab.verify_delta).parameters
+
+
+def test_public_names_are_the_imported_ones():
+    assert hnlab.__all__ == sorted(hnlab.__all__)
+    assert not any(
+        name.startswith("_") or inspect.ismodule(getattr(hnlab, name)) for name in hnlab.__all__
+    )
+    namespace: dict[str, object] = {}
+    exec("from hnlab import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == hnlab.__all__

@@ -954,6 +954,14 @@ def test_the_certificate_checks_the_window(monkeypatch):
         family_certificate()
 
 
+def test_the_certificate_checks_the_cut_from_m1_5(monkeypatch):
+    # with family 1 alone at m1 = 7 the checks at m1 = 3 and 4 pass, and the
+    # cut at the window 28 leaves pairs, which it may not from m1 = 5 on
+    with_masks_at(monkeypatch, 7, lambda masks: masks[:1])
+    with pytest.raises(InvariantViolation, match="of 7 leave pairs up to 28"):
+        family_certificate()
+
+
 def test_a_smaller_leftover_still_leaves_the_criterion_to_decide(monkeypatch):
     # without family 1 at m1 = 4 every m2 < 16 is still in a family, so the
     # certificate holds with more triples left; the criterion, not the
@@ -969,6 +977,27 @@ def test_a_smaller_leftover_still_leaves_the_criterion_to_decide(monkeypatch):
     assert leftover == (*DELTA[:2], *extra) and len(leftover) == 8
     report = verify_delta(40)
     assert report.flagged == DELTA and report.triples_searched == 8
+
+
+def test_the_census_does_not_need_family_3(monkeypatch):
+    # {0, m1} ∪ [2m1 - 1, 3m1 - 4] ∪ [3m1 - 2, 4m1 - 4] holds no triple that
+    # families 1, 2 and 4 leave to the criterion: without it the certificate
+    # still passes, from a smaller K0, and so does a plain-set check of the
+    # pairs up to 6·m1 for m1 < 80
+    monkeypatch.setattr(oversemigroups, "_FAMILY_RUNS", _FAMILY_RUNS[:2] + _FAMILY_RUNS[3:])
+    certificate = family_certificate()
+    assert (certificate.k0, certificate.leftover) == (9, DELTA)
+    left = []
+    for m1 in range(3, 80):
+        bound = 6 * m1
+        families = [s for i, s in enumerate(paper_families(m1)) if i != 2]
+        gaps = [sum(1 << x for x in range(bound + 1) if x not in s) for s in families]
+        for m2, third in third_entries(m1, bound):
+            for family_gaps in gaps:
+                if not family_gaps >> m2 & 1:
+                    third &= family_gaps
+            left += [(m1, m2, m3) for m3 in _bits(third)]
+    assert tuple(left) == DELTA
 
 
 @pytest.mark.parametrize("bounds", [range(3, 61), [100], [400], [2000]])
