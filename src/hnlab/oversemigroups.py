@@ -24,9 +24,9 @@ above m2, two of whose terms sum in closed form and the rest by floor
 sums.  A witness family of m1 ({0} and runs linear in m1, checked by
 sums of runs) that holds both m2 and m3 contains the triple, so only
 the triples no family holds need the criterion.  A certificate checked
-on every call (``family_certificate``: a cut at window 4·m1 at finitely
-many m1 and a crossing-point lemma on the run table) lists them, the
-same at every bound: none for m1 >= 5, and exactly DELTA with the
+once per process (``family_certificate``: a cut at window 4·m1 at
+finitely many m1 and a crossing-point lemma on the run table) lists
+them, the same at every bound: none for m1 >= 5, and exactly DELTA with the
 paper's families.  The cover witness and the families pass one check
 of symmetry, ``_is_symmetric_mask``.
 """
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations_with_replacement
 from math import gcd
 from typing import Iterator
@@ -372,7 +373,7 @@ def verify_delta(bound: int, jobs: int = 1) -> DeltaReport:
 
     The triples are counted per m1 in closed form, not listed: the pairs
     with gcd 1 less the members of <m1, m2> above m2, from one
-    factorization of m1.  The certificate checked on every call
+    factorization of m1.  The certificate checked once per process
     (``family_certificate``) lists the triples no witness family holds;
     those within ``bound``, DELTA with the paper's families, go to the
     odd-gap criterion in lexicographic order.  ``jobs`` is accepted and
@@ -460,10 +461,14 @@ def _crossing_bound(forms: list[Form]) -> int:
     return max((high[t] - low[s] + 2) // (s - t) + 1 for t, s in zip(slopes, slopes[1:]))
 
 
+@cache
 def family_certificate() -> FamilyCertificate:
     """Certify the witness families for every m1 >= 3 at once: each is
     symmetric of multiplicity m1 with its stated F, and the pairs
     m1 < m2 < m3 they leave are the same at every bound, none for m1 >= 5.
+    ``_FAMILY_RUNS`` is a constant, so the checks run once per process, on
+    first use, and the certificate is shared; a failed check raises and is
+    not cached, so every later call checks again.
 
     Every set the checks build (the runs, their sums, the members above F,
     the window (m1, 4·m1] and the classes of the cut) is a union of runs

@@ -906,6 +906,33 @@ def test_families_hold_every_pair_up_to_4m1_past_k0():
             assert third == 0, (m1, m2)
 
 
+@pytest.fixture
+def fresh_certificate():
+    """Clear the cached certificate before and after the test.  Request it
+    ahead of ``monkeypatch``, so the last clear runs after a patched run
+    table or ``_family_masks`` is restored."""
+    family_certificate.cache_clear()
+    yield
+    family_certificate.cache_clear()
+
+
+def test_the_certificate_is_checked_once_per_process(fresh_certificate, monkeypatch):
+    # two censuses and a direct call build the masks of m1 = 3 .. K0 + 1 once,
+    # and share one certificate
+    calls = []
+
+    def counted_masks(m1: int) -> list[tuple[int, int]]:
+        calls.append(m1)
+        return _family_masks(m1)
+
+    monkeypatch.setattr(oversemigroups, "_family_masks", counted_masks)
+    assert verify_delta(36) == verify_delta(36)
+    certificate = family_certificate()
+    assert family_certificate() is certificate
+    assert calls == list(range(3, certificate.k0 + 2))
+    assert len(calls) == certificate.k0 - 1 == 9
+
+
 def with_family(index: int, family) -> tuple:
     """The run table with the family at ``index`` replaced."""
     return tuple(family if i == index else f for i, f in enumerate(_FAMILY_RUNS))
@@ -927,12 +954,16 @@ PERTURBED_TABLES = {  # each with the check that fails
 
 
 @pytest.mark.parametrize("name", PERTURBED_TABLES)
-def test_a_perturbed_run_table_fails_the_certificate(monkeypatch, capsys, name):
+def test_a_perturbed_run_table_fails_the_certificate(
+    fresh_certificate, monkeypatch, capsys, name
+):
     table, failure = PERTURBED_TABLES[name]
     monkeypatch.setattr(oversemigroups, "_FAMILY_RUNS", table)
-    with pytest.raises(InvariantViolation, match=failure):
-        family_certificate()
-    with pytest.raises(InvariantViolation):  # checked on every call, with no m1 >= 5 counted
+    # a failed check is not cached, so every call raises, with no m1 >= 5 counted
+    for _ in range(2):
+        with pytest.raises(InvariantViolation, match=failure):
+            family_certificate()
+    with pytest.raises(InvariantViolation):
         verify_delta(3)
     assert main(["delta", "verify", "--bound", "40", "--format", "json"]) == 3
     assert json.loads(capsys.readouterr().out)["error"]["code"] == "InvariantViolation"
@@ -946,7 +977,7 @@ def with_masks_at(monkeypatch, m1: int, keep) -> None:
     monkeypatch.setattr(oversemigroups, "_family_masks", masks)
 
 
-def test_the_certificate_checks_the_window(monkeypatch):
+def test_the_certificate_checks_the_window(fresh_certificate, monkeypatch):
     # with family 1 alone at m1 = 3, 5 is in no family: (5, 12) is left at
     # the window 12, and (5, m3) for every m3 above it
     with_masks_at(monkeypatch, 3, lambda masks: masks[:1])
@@ -954,7 +985,7 @@ def test_the_certificate_checks_the_window(monkeypatch):
         family_certificate()
 
 
-def test_the_certificate_checks_the_cut_from_m1_5(monkeypatch):
+def test_the_certificate_checks_the_cut_from_m1_5(fresh_certificate, monkeypatch):
     # with family 1 alone at m1 = 7 the checks at m1 = 3 and 4 pass, and the
     # cut at the window 28 leaves pairs, which it may not from m1 = 5 on
     with_masks_at(monkeypatch, 7, lambda masks: masks[:1])
@@ -962,7 +993,7 @@ def test_the_certificate_checks_the_cut_from_m1_5(monkeypatch):
         family_certificate()
 
 
-def test_a_smaller_leftover_still_leaves_the_criterion_to_decide(monkeypatch):
+def test_a_smaller_leftover_still_leaves_the_criterion_to_decide(fresh_certificate, monkeypatch):
     # without family 1 at m1 = 4 every m2 < 16 is still in a family, so the
     # certificate holds with more triples left; the criterion, not the
     # table, flags exactly DELTA
@@ -979,7 +1010,7 @@ def test_a_smaller_leftover_still_leaves_the_criterion_to_decide(monkeypatch):
     assert report.flagged == DELTA and report.triples_searched == 8
 
 
-def test_the_census_does_not_need_family_3(monkeypatch):
+def test_the_census_does_not_need_family_3(fresh_certificate, monkeypatch):
     # {0, m1} ∪ [2m1 - 1, 3m1 - 4] ∪ [3m1 - 2, 4m1 - 4] holds no triple that
     # families 1, 2 and 4 leave to the criterion: without it the certificate
     # still passes, from a smaller K0, and so does a plain-set check of the
