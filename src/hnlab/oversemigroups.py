@@ -26,9 +26,9 @@ sums of runs) that holds both m2 and m3 contains the triple, so only
 the triples no family holds need the criterion.  A certificate checked
 once per process (``family_certificate``: a cut at window 4·m1 at
 finitely many m1 and a crossing-point lemma on the run table) lists
-them, the same at every bound: none for m1 >= 5, and exactly DELTA with the
-paper's families.  The cover witness and the families pass one check
-of symmetry, ``_is_symmetric_mask``.
+them, the same at every bound: none for m1 >= 5, and exactly DELTA with
+the paper's families.  The cover witness and the families pass one
+check of symmetry, ``_is_symmetric_mask``.
 """
 
 from __future__ import annotations
