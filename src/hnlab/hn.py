@@ -223,20 +223,18 @@ def solve_exponents(m: Triple) -> list[ExponentPair]:
 def theorem_verdict(h: HNIdeal, e: int) -> TheoremVerdict:
     """Check the classification hypothesis and report the licensed outcome.
 
-    The hypothesis holds when gcd(m) = 1, the value semigroup has embedding
-    dimension 3, and it is not contained in any symmetric semigroup of its
-    own multiplicity.  e = 1 then forces a prime ideal; e in {2, 3} leaves
-    prime-or-non-complete-intersection open between the possible cases.
+    The hypothesis holds when gcd(m) = 1 and the value semigroup is not
+    contained in any symmetric semigroup of its own multiplicity.  That
+    implies embedding dimension 3: a semigroup <1> or <a, b> is symmetric,
+    so it is its own cover.  e = 1 then forces a prime ideal; e in {2, 3}
+    leaves prime-or-non-complete-intersection open between the possible
+    cases.
     """
     if not 1 <= e <= 3:
         raise BadMultiplicity(f"ambient multiplicity must be in [1, 3], got {e}")
     cases = tuple(rec.label for rec in enumerate_cases(e))
     s = h.value_semigroup
-    hypothesis_ok = (
-        s is not None
-        and s.embedding_dimension == 3
-        and not has_symmetric_cover(s)
-    )
+    hypothesis_ok = s is not None and not has_symmetric_cover(s)
     if not hypothesis_ok:
         outcome = TheoremOutcome.HYPOTHESIS_NOT_SATISFIED
     elif e == 1:

@@ -431,24 +431,6 @@ def _family_masks(m1: int) -> list[tuple[int, int]]:
     return masks
 
 
-def _compared_forms() -> Iterator[list[Form]]:
-    """The groups of forms of ``_FAMILY_RUNS`` that the checks compare with
-    one another.  One per family for its closure and symmetry: its run
-    endpoints, the endpoints of each sum of two of its runs, its F and
-    m1.  One for the cut at window 4·m1: every run endpoint, each F, m1
-    and 4·m1."""
-    cut = [(1, 0), (4, 0)]
-    for runs, frob in _FAMILY_RUNS:
-        group = [frob, (1, 0)]
-        for ends in zip(*runs):  # the starts, then the ends
-            cut += ends
-            group += ends
-            group += [(s + t, u + v) for (s, u), (t, v) in combinations_with_replacement(ends, 2)]
-        cut.append(frob)
-        yield group
-    yield cut
-
-
 def _crossing_bound(forms: list[Form]) -> int:
     """The least integer m1 from which no two of ``forms``, each also ±1,
     with different slopes cross: forms of slope s exceed those of slope
@@ -472,20 +454,25 @@ def family_certificate() -> FamilyCertificate:
 
     Every set the checks build (the runs, their sums, the members above F,
     the window (m1, 4·m1] and the classes of the cut) is a union of runs
-    between forms of one group of ``_compared_forms``, each also ±1.  Two
+    between forms of one list, each also ±1: m1, 4·m1, each F and run
+    endpoint of ``_FAMILY_RUNS``, and the sum of any two of these.  Two
     forms of equal slope keep their difference, and two of different
     slopes compare the same way past their crossing point.  K0 is the
-    largest ``_crossing_bound`` of a group (at least 5).  For m1 >= K0
-    each comparison the checks make (closure, the members up to m1, F a
-    gap, each F below 4·m1, each class of the cut empty) has one outcome,
-    and 2·|mask| - (F + 1) is one linear function of m1.  So exact checks
-    at m1 = 3 .. K0 + 1, two points from K0 on, hold for every m1 >= 3.
-    The window 4·m1 is enough: with each F below it and no pair (m2, 4·m1)
-    left, each m2 < 4·m1 is in some family and each m3 >= 4·m1 in all.
-    The leftover is the pairs left at m1 in {3, 4} that form triples of
-    embedding dimension 3 with gcd 1.  Raises InvariantViolation if a
-    check fails."""
-    k0 = max(5, *map(_crossing_bound, _compared_forms()))
+    ``_crossing_bound`` of the list (at least 5), 15 with the paper's
+    families.  For m1 >= K0 each comparison the checks make (closure, the
+    members up to m1, F a gap, each F below 4·m1, each class of the cut
+    empty) has one outcome, and 2·|mask| - (F + 1) is one linear function
+    of m1.  So exact checks at m1 = 3 .. K0 + 1, two points from K0 on,
+    hold for every m1 >= 3.  The window 4·m1 is enough: with each F below
+    it and no pair (m2, 4·m1) left, each m2 < 4·m1 is in some family and
+    each m3 >= 4·m1 in all.  The leftover is the pairs left at m1 in
+    {3, 4} that form triples of embedding dimension 3 with gcd 1.  Raises
+    InvariantViolation if a check fails."""
+    forms = [(1, 0), (4, 0)]  # m1 and 4·m1
+    for runs, frob in _FAMILY_RUNS:
+        forms += [frob, *(end for run in runs for end in run)]
+    forms += [(s + t, u + v) for (s, u), (t, v) in combinations_with_replacement(forms, 2)]
+    k0 = max(5, _crossing_bound(forms))
     leftover = []
     for m1 in range(3, k0 + 2):
         window, masks = 4 * m1, _family_masks(m1)

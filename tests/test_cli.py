@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -187,9 +188,10 @@ def generator_tokens(draw) -> list[str]:
     return tokens
 
 
-def assert_one_report_or_usage_error(capsys, argv: list[str], parses: bool) -> None:
+def assert_one_report_or_usage_error(capsys, argv: list[str], parses: bool) -> int:
     """Exit 0 or 2 with exactly one v1 JSON line, or exit 1 with an empty
-    stdout, which happens exactly when argparse rejects a token."""
+    stdout, which happens exactly when argparse rejects a token; returns
+    the exit code."""
     code = main([*argv, "--format", "json"])
     out = capsys.readouterr().out
     assert code in (0, 1, 2), argv
@@ -201,28 +203,52 @@ def assert_one_report_or_usage_error(capsys, argv: list[str], parses: bool) -> N
         payload = json.loads(out)
         assert payload["schema"] == "v1", argv
         assert payload["status"] == ("ok" if code == 0 else "error"), argv
+    return code
+
+
+# HNLAB_MAX_FROBENIUS unset, at most its default, or no positive integer;
+# never above the default, which would let the Apéry pass run in O(m)
+FROBENIUS_CAPS = st.sampled_from([None, "1", "3", "50", "1000000", "0", "-7", "x"])
+BAD_CAPS = ("0", "-7", "x")
+
+
+@contextmanager
+def frobenius_cap(cap: str | None):
+    """Run the block with HNLAB_MAX_FROBENIUS set to ``cap``, or unset for None."""
+    with pytest.MonkeyPatch.context() as env:
+        if cap is None:
+            env.delenv("HNLAB_MAX_FROBENIUS", raising=False)
+        else:
+            env.setenv("HNLAB_MAX_FROBENIUS", cap)
+        yield
 
 
 @settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
-@given(generator_tokens())
-def test_analyze_generators_fuzz(capsys, tokens):
+@given(generator_tokens(), FROBENIUS_CAPS)
+def test_analyze_generators_fuzz(capsys, tokens, cap):
+    # a cap that is no positive integer is a domain error once argv parses
     parses = bool(tokens) and all(map(_is_positive_integer, tokens))
-    assert_one_report_or_usage_error(capsys, ["sgp", "analyze", *tokens], parses)
+    with frobenius_cap(cap):
+        code = assert_one_report_or_usage_error(capsys, ["sgp", "analyze", *tokens], parses)
+    assert code == 2 or not (parses and cap in BAD_CAPS), (tokens, cap)
 
 
 @settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
-@given(generator_tokens(), st.data())
-def test_sym_cover_generators_and_mult_fuzz(capsys, tokens, data):
+@given(generator_tokens(), st.data(), FROBENIUS_CAPS)
+def test_sym_cover_generators_and_mult_fuzz(capsys, tokens, data, cap):
     # --mult is often one of the generators, so that some bases are decided
     mult = data.draw(
         st.one_of(st.sampled_from(tokens or ["3"]), st.integers(-5, 50).map(str), ODD_TOKENS)
     )
     parses = bool(tokens) and all(map(_is_positive_integer, [*tokens, mult]))
-    assert_one_report_or_usage_error(capsys, ["sgp", "sym-cover", *tokens, "--mult", mult], parses)
+    argv = ["sgp", "sym-cover", *tokens, "--mult", mult]
+    with frobenius_cap(cap):
+        code = assert_one_report_or_usage_error(capsys, argv, parses)
+    assert code == 2 or not (parses and cap in BAD_CAPS), (argv, cap)
 
 
 # an integer token: small, zero, negative or huge
@@ -247,11 +273,12 @@ def _is_triple(token: str) -> bool:
     return len(parts) == 3 and not any(map(_not_an_integer, parts))
 
 
-def assert_one_timed_report(capsys, argv: list[str], parses: bool) -> None:
+def assert_one_timed_report(capsys, argv: list[str], parses: bool) -> int:
     """``assert_one_report_or_usage_error``, within 10 seconds."""
     started = time.perf_counter()
-    assert_one_report_or_usage_error(capsys, argv, parses)
+    code = assert_one_report_or_usage_error(capsys, argv, parses)
     assert time.perf_counter() - started < 10.0, argv
+    return code
 
 
 # The fuzz tests below pass each value as --opt=value, so that a value
@@ -262,11 +289,18 @@ FUZZ_SETTINGS = settings(
 
 
 @FUZZ_SETTINGS
-@given(triple_tokens(), triple_tokens(), st.one_of(st.none(), INTEGER_TOKENS, ODD_TOKENS))
-def test_hn_build_fuzz(capsys, a, b, e):
+@given(
+    triple_tokens(),
+    triple_tokens(),
+    st.one_of(st.none(), INTEGER_TOKENS, ODD_TOKENS),
+    FROBENIUS_CAPS,
+)
+def test_hn_build_fuzz(capsys, a, b, e, cap):
     parses = _is_triple(a) and _is_triple(b) and (e is None or not _not_an_integer(e))
     argv = ["hn", "build", f"--a={a}", f"--b={b}", *([] if e is None else [f"--e={e}"])]
-    assert_one_timed_report(capsys, argv, parses)
+    with frobenius_cap(cap):
+        code = assert_one_timed_report(capsys, argv, parses)
+    assert code == 2 or not (parses and cap in BAD_CAPS), (argv, cap)
 
 
 @FUZZ_SETTINGS

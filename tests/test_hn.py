@@ -270,8 +270,8 @@ def test_no_small_pair_yields_embedding_dimension_below_three():
 
 
 def test_verdict_hypothesis_fails_on_embedding_dimension_two():
-    # the branch is unreachable through build() at small entries, so drive it
-    # with a directly assembled ideal whose semigroup is <3,4> (symmetric)
+    # build() never attaches such a semigroup, so assemble the ideal directly:
+    # <3,4> is symmetric, its own cover, so the criterion alone rejects it
     good = build(ExponentPair((1, 1, 1), (2, 1, 1)))
     from hnlab import from_generators
 

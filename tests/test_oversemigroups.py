@@ -833,23 +833,16 @@ def test_family_gaps_above_m1_are_linear_and_disjoint():
 # ── the certificate for every m1 >= 5 ────────────────────────────────────────
 
 
-def listed_forms(table) -> list[list[tuple[int, int]]]:
-    """The forms (slope, offset) of a run table, in the groups the checks
-    compare: per family its run endpoints, the endpoints of each sum of two
-    of its runs, its F and m1; and for the cut every run endpoint, each F,
-    m1 and 4·m1."""
-    groups = []
-    cut = [(1, 0), (4, 0)]
+def listed_forms(table) -> list[tuple[int, int]]:
+    """The forms (slope, offset) of a run table that the checks compare:
+    m1, 4·m1, each F, each run endpoint, and the sum of any two of these."""
+    base = [(1, 0), (4, 0)]
     for runs, frob in table:
-        group = [frob, (1, 0)]
-        for i, run in enumerate(runs):
-            group += run
-            for other in runs[i:]:
-                group += [(x[0] + y[0], x[1] + y[1]) for x, y in zip(run, other)]
-            cut += run
-        groups.append(group)
-        cut.append(frob)
-    return [*groups, cut]
+        base.append(frob)
+        for run in runs:
+            base += run
+    sums = {(s + t, o + p) for i, (s, o) in enumerate(base) for t, p in base[i:]}
+    return sorted(set(base) | sums)
 
 
 def plain_crossing_bound(forms: list[tuple[int, int]]) -> int:
@@ -864,12 +857,9 @@ def plain_crossing_bound(forms: list[tuple[int, int]]) -> int:
 
 
 def test_certificate_k0_is_the_largest_crossing_point():
-    groups = listed_forms(_FAMILY_RUNS)
-    simple = plain_crossing_bound([form for group in groups for form in group])
     certificate = family_certificate()
-    assert simple >= certificate.k0
-    assert certificate.k0 == max(5, *map(plain_crossing_bound, groups))
-    assert (simple, certificate.k0, certificate.leftover) == (15, 10, DELTA)
+    assert certificate.k0 == max(5, plain_crossing_bound(listed_forms(_FAMILY_RUNS))) == 15
+    assert certificate.leftover == DELTA
 
 
 def family_sets(m1: int) -> list[tuple[set[int], int]]:
@@ -930,7 +920,7 @@ def test_the_certificate_is_checked_once_per_process(fresh_certificate, monkeypa
     certificate = family_certificate()
     assert family_certificate() is certificate
     assert calls == list(range(3, certificate.k0 + 2))
-    assert len(calls) == certificate.k0 - 1 == 9
+    assert len(calls) == certificate.k0 - 1 == 14
 
 
 def with_family(index: int, family) -> tuple:
@@ -1017,7 +1007,7 @@ def test_the_census_does_not_need_family_3(fresh_certificate, monkeypatch):
     # pairs up to 6·m1 for m1 < 80
     monkeypatch.setattr(oversemigroups, "_FAMILY_RUNS", _FAMILY_RUNS[:2] + _FAMILY_RUNS[3:])
     certificate = family_certificate()
-    assert (certificate.k0, certificate.leftover) == (9, DELTA)
+    assert (certificate.k0, certificate.leftover) == (14, DELTA)
     left = []
     for m1 in range(3, 80):
         bound = 6 * m1
