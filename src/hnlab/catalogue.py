@@ -118,7 +118,8 @@ def _parse_factor(token: str) -> Factor:
         tuple(int(x) for x in mono.split(".")) for mono in monos_s.split("+")
     )
     weights = WeightAssignment(tuple(int(x) for x in weights_s.split(",")))
-    if kind not in ("bin", "form") or len(monomials) < 2:
+    widths = {len(entries) for entries in (*monomials, weights.weights)}  # one per variable
+    if kind not in ("bin", "form") or len(monomials) < 2 or widths != {len(_VARIABLES)}:
         raise InvalidGenerator(f"malformed factor token {token!r}")
     return Factor(monomials, weights, note)  # type: ignore[arg-type]
 

@@ -156,8 +156,6 @@ def build(e: ExponentPair, max_frobenius: int | None = None) -> HNIdeal:
         raise InvariantViolation(
             f"determinantal multipliers {det} disagree with expanded form {expanded}"
         )
-    if min(det) < 3:
-        raise InvariantViolation(f"multiplier triple {det} has an entry below 3")
     value = from_generators(sorted(det), max_frobenius) if gcd(*det) == 1 else None
     return HNIdeal(e, generators, det, value)
 

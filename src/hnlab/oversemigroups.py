@@ -24,8 +24,9 @@ above m2, two of whose terms sum in closed form and the rest by floor
 sums.  A witness family of m1 ({0} and runs linear in m1, checked by
 sums of runs) that holds both m2 and m3 contains the triple, so only
 the triples no family holds need the criterion.  A certificate checked
-once per process (``family_certificate``: a cut at window 4·m1 at
-finitely many m1 and a crossing-point lemma on the run table) lists
+once per process (``family_certificate``: for each m3 up to one past
+the largest F, the m2 below it that no family holding m3 has, listed at
+finitely many m1, and a crossing-point lemma on the run table) lists
 them, the same at every bound: none for m1 >= 5, and exactly DELTA with
 the paper's families.  The cover witness and the families pass one
 check of symmetry, ``_is_symmetric_mask``.
@@ -326,35 +327,20 @@ def _members_above(m1: int, bound: int, divisors: list[tuple[int, int]]) -> int:
     return total
 
 
-def _uncertified_pairs(
-    m1: int, bound: int, families: list[tuple[int, int]]
-) -> list[tuple[int, int]]:
-    """The pairs m1 < m2 < m3 <= bound that no family holds both of, sorted.
-
-    The m3 in (m1, bound] are split into classes by the set P of families
-    that have them as members, one family at a time; a class keeps the m2
-    that are gaps of every family in P, and is dropped once its lowest m2
-    is not below its highest m3.  A family has every number above its
-    Frobenius number as a member."""
-    window = (2 << bound) - (2 << m1)  # (m1, bound]
-    classes = [(window, window)]  # (the m3 of a class, its m2 candidates)
-    for mask, frob in families:
-        member = (mask | -(2 << frob)) & window
-        classes = [
-            (third, second)
-            for old_third, old_second in classes
-            for third, second in (
-                (old_third & member, old_second & ~member),
-                (old_third & ~member, old_second),
-            )
-            if second and (second & -second).bit_length() < third.bit_length()
-        ]
-    return sorted(
-        (m2, m3)
-        for third, second in classes
-        for m3 in _bits(third)
-        for m2 in _bits(second & ((1 << m3) - 1))
-    )
+def _left_pairs(m1: int, window: int, families: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The pairs m1 < m2 < m3 <= ``window`` that no family holds both of,
+    sorted: for each m3, the m2 in (m1, m3) that are gaps of every family
+    holding m3.  A family has every number above its Frobenius number as
+    a member."""
+    members = [mask | -(2 << frob) for mask, frob in families]
+    pairs = []
+    for m3 in range(m1 + 2, window + 1):
+        second = (1 << m3) - (2 << m1)  # (m1, m3)
+        for member in members:
+            if member >> m3 & 1:
+                second &= ~member
+        pairs += [(m2, m3) for m2 in _bits(second)]
+    return sorted(pairs)
 
 
 def _dimension_3_triples(m1: int, pairs: list[tuple[int, int]]) -> list[tuple[int, int, int]]:
@@ -453,33 +439,36 @@ def family_certificate() -> FamilyCertificate:
     not cached, so every later call checks again.
 
     Every set the checks build (the runs, their sums, the members above F,
-    the window (m1, 4·m1] and the classes of the cut) is a union of runs
-    between forms of one list, each also ±1: m1, 4·m1, each F and run
-    endpoint of ``_FAMILY_RUNS``, and the sum of any two of these.  Two
-    forms of equal slope keep their difference, and two of different
-    slopes compare the same way past their crossing point.  K0 is the
-    ``_crossing_bound`` of the list (at least 5), 15 with the paper's
-    families.  For m1 >= K0 each comparison the checks make (closure, the
-    members up to m1, F a gap, each F below 4·m1, each class of the cut
-    empty) has one outcome, and 2·|mask| - (F + 1) is one linear function
-    of m1.  So exact checks at m1 = 3 .. K0 + 1, two points from K0 on,
-    hold for every m1 >= 3.  The window 4·m1 is enough: with each F below
-    it and no pair (m2, 4·m1) left, each m2 < 4·m1 is in some family and
-    each m3 >= 4·m1 in all.  The leftover is the pairs left at m1 in
+    the window (m1, F_max + 1] and, for each m3, the gaps of the families
+    that hold it) is a union of runs between forms of one list, each also
+    ±1: m1, each F and run endpoint of ``_FAMILY_RUNS``, and the sum of
+    any two of these.  Two forms of equal slope keep their difference, and
+    two of different slopes compare the same way past their crossing
+    point.  K0 is the ``_crossing_bound`` of the list (at least 5), 15
+    with the paper's families.  For m1 >= K0 each comparison the checks
+    make (closure, the members up to m1, F a gap, the largest F, the
+    families that hold each m3, a common gap of them below m3) has one
+    outcome, and 2·|mask| - (F + 1) is one linear function of m1.  So
+    exact checks at m1 = 3 .. K0 + 1, two points from K0 on, hold for
+    every m1 >= 3.  The window F_max + 1 is enough: every family holds
+    every m3 from it on, so a pair (m2, F_max + 1) left means m2 is a gap
+    of every family, and without one the pairs left at the window are the
+    pairs left at every bound.  The leftover is the pairs left at m1 in
     {3, 4} that form triples of embedding dimension 3 with gcd 1.  Raises
     InvariantViolation if a check fails."""
-    forms = [(1, 0), (4, 0)]  # m1 and 4·m1
+    forms = [(1, 0)]  # m1
     for runs, frob in _FAMILY_RUNS:
         forms += [frob, *(end for run in runs for end in run)]
     forms += [(s + t, u + v) for (s, u), (t, v) in combinations_with_replacement(forms, 2)]
     k0 = max(5, _crossing_bound(forms))
     leftover = []
     for m1 in range(3, k0 + 2):
-        window, masks = 4 * m1, _family_masks(m1)
-        pairs = _uncertified_pairs(m1, window, masks)
+        masks = _family_masks(m1)
+        window = max(frob for _, frob in masks) + 1
+        pairs = _left_pairs(m1, window, masks)
         if pairs and m1 >= 5:
             raise InvariantViolation(f"the witness families of {m1} leave pairs up to {window}")
-        if max(frob for _, frob in masks) >= window or any(m3 == window for _, m3 in pairs):
+        if any(m3 == window for _, m3 in pairs):
             raise InvariantViolation(f"the witness families of {m1} leave pairs above {window}")
         leftover += _dimension_3_triples(m1, pairs)
     return FamilyCertificate(k0, tuple(leftover))

@@ -320,6 +320,8 @@ def test_wpower_factors_are_skipped_not_failed():
         "bin:1.0.0.0@1,1,1,1",  # a binomial with one monomial
         "form:1.0.0.0@2,2,2,2",  # a form with one monomial
         "foo:1.0.0.0+0.1.0.0@1,1,1,1",  # an unknown kind
+        "bin:0.0.0.2.9+1.1.0.0.0@6,8,10,7",  # five exponents per monomial
+        "bin:0.0.0.2+1.1.0.0@6,8,10",  # three weights
     ],
 )
 def test_malformed_factor_tokens_are_rejected(token):

@@ -43,11 +43,11 @@ from hnlab.oversemigroups import (
     _floor_sum,
     _gcd_one_pairs,
     _iter_cover_masks,
+    _left_pairs,
     _members_above,
     _semigroup_from_mask,
     _squarefree_divisors,
     _symmetric_mask,
-    _uncertified_pairs,
 )
 from hnlab.semigroup import NumericalSemigroup
 
@@ -612,13 +612,46 @@ def test_census_at_the_cap_is_fast():
     assert elapsed < 2.0, elapsed
 
 
+# The class cut, the oracle of the certificate's per-m3 listing: it shares
+# no code with it, and is fast enough to cut every m1 up to 2000.
+def uncertified_pairs(
+    m1: int, bound: int, families: list[tuple[int, int]]
+) -> list[tuple[int, int]]:
+    """The pairs m1 < m2 < m3 <= bound that no family holds both of, sorted.
+
+    The m3 in (m1, bound] are split into classes by the set P of families
+    that have them as members, one family at a time; a class keeps the m2
+    that are gaps of every family in P, and is dropped once its lowest m2
+    is not below its highest m3.  A family has every number above its
+    Frobenius number as a member."""
+    window = (2 << bound) - (2 << m1)  # (m1, bound]
+    classes = [(window, window)]  # (the m3 of a class, its m2 candidates)
+    for mask, frob in families:
+        member = (mask | -(2 << frob)) & window
+        classes = [
+            (third, second)
+            for old_third, old_second in classes
+            for third, second in (
+                (old_third & member, old_second & ~member),
+                (old_third & ~member, old_second),
+            )
+            if second and (second & -second).bit_length() < third.bit_length()
+        ]
+    return sorted(
+        (m2, m3)
+        for third, second in classes
+        for m3 in _bits(third)
+        for m2 in _bits(second & ((1 << m3) - 1))
+    )
+
+
 def cut_triples(bound: int, families) -> list[tuple[int, int, int]]:
     """The cut at ``bound`` and its filter at every m1, by ``families(m1)``:
     the candidate triples in no family, in lexicographic order."""
     return [
         t
         for m1 in range(3, bound - 1)
-        for t in _dimension_3_triples(m1, _uncertified_pairs(m1, bound, families(m1)))
+        for t in _dimension_3_triples(m1, uncertified_pairs(m1, bound, families(m1)))
     ]
 
 
@@ -626,7 +659,8 @@ def test_pigeonhole_lists_exactly_the_uncertified_triples():
     # Stand-in families with overlapping gaps, so that the window is cut
     # by several, and with gaps shared by all four: the oversemigroups of
     # multiplicity m1 of a few bases, used for every m1.  The cut and its
-    # filter keep exactly the candidate triples in no stand-in.
+    # filter keep exactly the candidate triples in no stand-in, and so does
+    # the certificate's per-m3 listing.
     for gens in ([7, 9, 10], [7, 8], [8, 11, 13, 14], [9, 10]):
         base = from_generators(gens)
         m1, frob = base.multiplicity, base.frobenius
@@ -641,6 +675,12 @@ def test_pigeonhole_lists_exactly_the_uncertified_triples():
                     if not any(t[1] in s and t[2] in s for s in families)
                 ]
                 assert cut_triples(bound, lambda m: stand_ins) == expected, (gens, bound)
+                listed = [
+                    t
+                    for m in range(3, bound - 1)
+                    for t in _dimension_3_triples(m, _left_pairs(m, bound, stand_ins))
+                ]
+                assert listed == expected, (gens, bound)
 
 
 @pytest.mark.parametrize("bound", [9, 12, 15])
@@ -835,8 +875,8 @@ def test_family_gaps_above_m1_are_linear_and_disjoint():
 
 def listed_forms(table) -> list[tuple[int, int]]:
     """The forms (slope, offset) of a run table that the checks compare:
-    m1, 4·m1, each F, each run endpoint, and the sum of any two of these."""
-    base = [(1, 0), (4, 0)]
+    m1, each F, each run endpoint, and the sum of any two of these."""
+    base = [(1, 0)]
     for runs, frob in table:
         base.append(frob)
         for run in runs:
@@ -968,18 +1008,19 @@ def with_masks_at(monkeypatch, m1: int, keep) -> None:
 
 
 def test_the_certificate_checks_the_window(fresh_certificate, monkeypatch):
-    # with family 1 alone at m1 = 3, 5 is in no family: (5, 12) is left at
-    # the window 12, and (5, m3) for every m3 above it
+    # with family 1 alone at m1 = 3, F = 5 is in no family: (5, 6) is left
+    # at the window F + 1 = 6, and (5, m3) for every m3 above it
     with_masks_at(monkeypatch, 3, lambda masks: masks[:1])
-    with pytest.raises(InvariantViolation, match="of 3 leave pairs above 12"):
+    with pytest.raises(InvariantViolation, match="of 3 leave pairs above 6"):
         family_certificate()
 
 
 def test_the_certificate_checks_the_cut_from_m1_5(fresh_certificate, monkeypatch):
     # with family 1 alone at m1 = 7 the checks at m1 = 3 and 4 pass, and the
-    # cut at the window 28 leaves pairs, which it may not from m1 = 5 on
+    # listing at the window F + 1 = 14 leaves pairs, which it may not from
+    # m1 = 5 on
     with_masks_at(monkeypatch, 7, lambda masks: masks[:1])
-    with pytest.raises(InvariantViolation, match="of 7 leave pairs up to 28"):
+    with pytest.raises(InvariantViolation, match="of 7 leave pairs up to 14"):
         family_certificate()
 
 
