@@ -6,12 +6,10 @@ polynomial f (as a list of weight-checkable factors over the variables
 X, Y, Z, W), the tuple of integers whose gcd must be 1, the predicted
 decomposition shape, and any field-theoretic caveat.  Verification checks
 exactly the numeric side: every constrained factor and all three ideal
-generators must be homogeneous under the factor's weight assignment, and
-the gcd tuple must be coprime.  Field hypotheses are surfaced as free
-text, never evaluated.
-
-The case taxonomy the predictions are drawn from lives in
-:mod:`hnlab.cases`; ``enumerate_cases`` is re-exported here.
+generators must be homogeneous under the factor's weight assignment, the
+gcd tuple must be coprime, and the predicted shape must be one that
+``enumerate_cases`` lists for n (:mod:`hnlab.cases`, the case taxonomy).
+Field hypotheses are surfaced as free text, never evaluated.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from functools import lru_cache
 from importlib import resources
 from math import gcd
 
-from .cases import CaseRecord, enumerate_cases  # noqa: F401 - bench/tracing.py wraps it here
+from .cases import CaseRecord, enumerate_cases
 from .errors import (
     DimensionMismatch,
     DomainError,
@@ -183,12 +181,12 @@ def _ideal_generators_for(m: Triple) -> tuple[Binomial, ...]:
 
 
 def verify_example(spec: ExampleSpec) -> ExampleReport:
-    """Run every numeric check the example admits.
+    """Run every check the example admits; failures are reported, not raised.
 
     For each weight-constrained factor: the factor's monomials must share a
     weighted degree, and the three ideal generators must vanish under the
-    same assignment.  Pure W-powers are recorded and skipped.  Failures are
-    reported, never raised.
+    same assignment.  Pure W-powers are recorded and skipped.  The predicted
+    shape must be a record of ``enumerate_cases(n)``, and the gcd tuple coprime.
     """
     generators = _ideal_generators_for(spec.m)
     checks: list[WeightCheck] = []
@@ -217,5 +215,6 @@ def verify_example(spec: ExampleSpec) -> ExampleReport:
                 )
             )
     gcd_ok = gcd(*spec.gcd_tuple) == 1
-    verdict = gcd_ok and all(c.passed for c in checks if c.passed is not None)
+    shape_ok = spec.predicted in enumerate_cases(spec.n)
+    verdict = gcd_ok and shape_ok and all(c.passed for c in checks if c.passed is not None)
     return ExampleReport(spec, tuple(checks), gcd_ok, verdict)

@@ -13,10 +13,9 @@ largest odd gap of T, the witness is
 Closed: an adjoined x and b in T with x + b <= F' sum to an adjoined
 member, since F' - x - b in T would put F' - x in T.  Symmetric: exactly
 one of x and F' - x lies in U.  Multiplicity m: each adjoined x is above
-F'/2 >= m - 1/2.  A symmetric T is its own witness, as F' = F(T).  The
-exhaustive gap-subset DFS is the oracle behind
-``oversemigroups_with_multiplicity``: it lists masks, and the builder
-reads each Apéry set off its mask in the pass that checks the closure.
+F'/2 >= m - 1/2.  A symmetric T is its own witness, as F' = F(T).
+``oversemigroups_with_multiplicity`` walks the tree of numerical semigroups
+with decomposition numbers (Fromentin & Hivert, Math. Comp. 85, 2016).
 
 The census counts its triples per m1 in closed form: a Möbius sum over
 the squarefree divisors of m1 for the gcd, less the members of <m1, m2>
@@ -34,7 +33,6 @@ check of symmetry, ``_is_symmetric_mask``.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations_with_replacement
@@ -129,36 +127,6 @@ def _member_mask(s: NumericalSemigroup) -> int:
     return int(bits[::-1], 2) if bits else 0
 
 
-def _iter_cover_masks(base: NumericalSemigroup) -> Iterator[int]:
-    """Yield membership masks over [0, F(base)] of every oversemigroup of the
-    same multiplicity, in lexicographic order of the adjoined gap subsets."""
-    full = (1 << (base.frobenius + 1)) - 1
-    base_mask = _member_mask(base)
-    window = list(_bits(full & ~base_mask & -(1 << base.multiplicity)))  # the gaps above m
-
-    # Preorder DFS on an explicit stack of (mask, forced, next index, end
-    # index) frames.  Children adjoin window[i] for next <= i < end; a node
-    # with forced positions may only adjoin gaps up to the smallest of them.
-    # The base itself is closed, so the root starts with no forced positions.
-    yield base_mask
-    stack = [(base_mask, 0, 0, len(window))]
-    while stack:
-        mask, forced, i, end = stack[-1]
-        if i == end:
-            stack.pop()
-            continue
-        stack[-1] = (mask, forced, i + 1, end)
-        x = window[i]
-        child = mask | (1 << x)
-        child_forced = (forced | (child << x)) & full & ~child
-        if child_forced:
-            limit = (child_forced & -child_forced).bit_length() - 1
-            stack.append((child, child_forced, i + 1, bisect_right(window, limit, i + 1)))
-        else:
-            yield child
-            stack.append((child, 0, i + 1, len(window)))
-
-
 def _semigroup_from_mask(mask: int, upto: int, mult: int) -> NumericalSemigroup:
     """The semigroup of multiplicity ``mult`` with members ``mask`` in
     [0, upto].  Its nonzero Apéry elements are the members in [1, upto + mult]
@@ -193,15 +161,48 @@ def _require_multiplicity(s: NumericalSemigroup, m: int) -> None:
         )
 
 
-def oversemigroups_with_multiplicity(
-    s: NumericalSemigroup, m: int
-) -> list[NumericalSemigroup]:
-    """Every semigroup containing s with multiplicity m, s first, by the
-    exhaustive search.  Only m = multiplicity(s) is supported; anything else
-    raises UnsupportedMultiplicity."""
+def _preorder_rank(mirror: int, full: int) -> int:
+    """The rank |A| + 2^(F+1) - R - (R & -R) of A ⊆ [0, F] in lexicographic order
+    of ascending tuples, for R = ``mirror`` (bit F - x for x in A) and ``full`` =
+    2^(F+1) - 1: x counts itself and 2^(F-y) sets per y skipped before it."""
+    return (mirror.bit_count() - mirror - (mirror & -mirror)) & full
+
+
+def oversemigroups_with_multiplicity(s: NumericalSemigroup, m: int) -> list[NumericalSemigroup]:
+    """Every semigroup containing s with multiplicity m = multiplicity(s), else
+    UnsupportedMultiplicity: s first, then in lexicographic order of the gaps
+    of s they adjoin.  A walk down the tree of numerical semigroups (Fromentin
+    & Hivert, Math. Comp. 85, 2016): each U but the root {0} ∪ [m, oo) has
+    F(U) > m and the parent U ∪ {F(U)}, so V has the children V - {g} for its
+    minimal generators g > F(V) that are gaps of s.  Removing g takes 1 from
+    the decomposition number dec[g + z] (pairs a <= b of nonzero members with
+    a + b = g + z) for each nonzero member z; g + m enters the Apéry set, and
+    is a new minimal generator (all are <= g + m) iff dec[g + m] was 1."""
     _require_multiplicity(s, m)
     frob = s.frobenius
-    return [_semigroup_from_mask(mask, frob, m) for mask in _iter_cover_masks(s)]
+    top, full = frob + m, (1 << frob + 1) - 1  # dec is read at g + m <= top
+    width = (frob + 1).bit_length() or 1  # the root's dec[y] <= F + 1 for y <= 2·top
+    field = (1 << width) - 1
+    ones = ((1 << (2 * top + 1) * width) - 1) // field  # fields 0 to 2·top, none goes below 0
+    # the root's dec[y] = max(0, y // 2 - m + 1) counts the t = 2m, 2m + 2, ... up to y
+    steps = ((1 << 2 * (frob + 1) * width) - 1) // ((1 << 2 * width) - 1) << 2 * m * width
+    dec, members = steps * ones & ones * field, ones >> (top + m) * width << m * width
+    gaps = full & ~_member_mask(s) & -(1 << m)  # the gaps of s above m
+    mirror = int(format(gaps, f"0{frob + 1}b")[::-1], 2)  # bit F - x for each gap x
+    gens = tuple(range(m, 2 * m))
+    stack = [(gens, (0, *gens[1:]), [g for g in gens if gaps >> g & 1], dec, members, mirror)]
+    ranked = {}
+    while stack:
+        gens, apery, kids, dec, members, mirror = stack.pop()
+        ranked[_preorder_rank(mirror, full)] = NumericalSemigroup(gens, apery)
+        for i, g in enumerate(kids):
+            h, r, j, shift = g + m, g % m, gens.index(g), g * width
+            new = dec >> h * width & field == 1  # h is a minimal generator of the child
+            child_gens = gens[:j] + gens[j + 1 :] + (h,) * new
+            child_kids = kids[i + 1 :] + [h] * (new and gaps >> h & 1)
+            child = (dec - (members << shift), members ^ 1 << shift, mirror ^ 1 << frob - g)
+            stack.append((child_gens, apery[:r] + (h,) + apery[r + 1 :], child_kids, *child))
+    return [ranked[rank] for rank in sorted(ranked)]
 
 
 def _largest_odd_gap(s: NumericalSemigroup) -> int:

@@ -300,6 +300,20 @@ def test_corrupted_gcd_tuple_fails():
     assert not report.gcd_ok and not report.verdict
 
 
+def test_corrupted_predicted_shape_fails():
+    # the first entry with a shape that is no case of e = 1: its weights and
+    # gcd still pass, so the shape check alone fails the verdict
+    spec = catalogue_entries()[0]
+    bad = dataclasses.replace(spec, predicted=CaseRecord(1, ((3, 7),), "(z.9)"))
+    report = verify_example(bad)
+    assert report.gcd_ok and all(c.passed is not False for c in report.weight_checks)
+    assert not report.verdict
+    # the right components under another label are no record either
+    relabeled = dataclasses.replace(spec, predicted=CaseRecord(1, ((1, 1),), "(b.1)"))
+    assert not verify_example(relabeled).verdict
+    assert verify_example(spec).verdict
+
+
 def test_a_triple_with_no_exponent_solution_is_an_invariant_violation():
     spec = dataclasses.replace(catalogue_entries()[0], m=(3, 5, 6))
     with pytest.raises(InvariantViolation, match="has no exponent solution"):

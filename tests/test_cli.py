@@ -95,10 +95,10 @@ def test_sym_cover_known_values(capsys):
 
 
 def test_no_command_runs_the_exhaustive_search(capsys, monkeypatch):
-    def boom(base):
-        raise AssertionError("exhaustive cover search reached")
+    def boom(base, m):
+        raise AssertionError("oversemigroup listing reached")
 
-    monkeypatch.setattr(oversemigroups, "_iter_cover_masks", boom)
+    monkeypatch.setattr(oversemigroups, "oversemigroups_with_multiplicity", boom)
     for argv in (
         ["sgp", "sym-cover", "25", "41", "49", "--mult", "25"],
         ["sgp", "sym-cover", "4", "7", "9", "--mult", "4"],

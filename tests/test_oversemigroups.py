@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import time
+from bisect import bisect_right
 from functools import cache
 from itertools import accumulate, combinations, groupby
 from math import gcd
@@ -42,9 +43,10 @@ from hnlab.oversemigroups import (
     _family_masks,
     _floor_sum,
     _gcd_one_pairs,
-    _iter_cover_masks,
     _left_pairs,
+    _member_mask,
     _members_above,
+    _preorder_rank,
     _semigroup_from_mask,
     _squarefree_divisors,
     _symmetric_mask,
@@ -82,6 +84,37 @@ def members_upto_frobenius(s, frob: int) -> frozenset[int]:
     return frozenset(x for x in range(frob + 1) if s.contains(x))
 
 
+def iter_cover_masks(base) -> Iterator[int]:
+    """The gap-subset DFS, the exhaustive oracle of the listing: membership
+    masks over [0, F(base)] of every oversemigroup of the same multiplicity,
+    in lexicographic order of the adjoined gap subsets."""
+    full = (1 << (base.frobenius + 1)) - 1
+    base_mask = _member_mask(base)
+    window = list(_bits(full & ~base_mask & -(1 << base.multiplicity)))  # the gaps above m
+
+    # Preorder DFS on an explicit stack of (mask, forced, next index, end
+    # index) frames.  Children adjoin window[i] for next <= i < end; a node
+    # with forced positions may only adjoin gaps up to the smallest of them.
+    # The base itself is closed, so the root starts with no forced positions.
+    yield base_mask
+    stack = [(base_mask, 0, 0, len(window))]
+    while stack:
+        mask, forced, i, end = stack[-1]
+        if i == end:
+            stack.pop()
+            continue
+        stack[-1] = (mask, forced, i + 1, end)
+        x = window[i]
+        child = mask | (1 << x)
+        child_forced = (forced | (child << x)) & full & ~child
+        if child_forced:
+            limit = (child_forced & -child_forced).bit_length() - 1
+            stack.append((child, child_forced, i + 1, bisect_right(window, limit, i + 1)))
+        else:
+            yield child
+            stack.append((child, 0, i + 1, len(window)))
+
+
 def exhaustive_has_symmetric_cover(base) -> bool:
     """The exhaustive oracle: whether the gap-subset DFS lists a symmetric
     oversemigroup, one whose gaps up to F(base) number (F + 1) / 2 for F
@@ -89,7 +122,7 @@ def exhaustive_has_symmetric_cover(base) -> bool:
     full = (1 << (base.frobenius + 1)) - 1
     return any(
         2 * (full ^ mask).bit_count() == (full ^ mask).bit_length()
-        for mask in _iter_cover_masks(base)
+        for mask in iter_cover_masks(base)
     )
 
 
@@ -169,17 +202,45 @@ def semigroup_from_mask_by_comparison(mask: int, upto: int, mult: int) -> Numeri
 
 
 def test_semigroup_from_mask_matches_the_pairwise_oracle():
+    # the same pass checks the tree walk against the DFS: the same list, in
+    # the same order, with the same minimal generators and Apéry sets
     bases = [b for b in GATE_BASES if b.frobenius <= 26]  # multiplicities 1..10, 21,961 sets
     assert len(bases) > 600
     for base in bases:
         m, frob = base.multiplicity, base.frobenius
-        for mask in _iter_cover_masks(base):
+        listed = []
+        for mask in iter_cover_masks(base):
             expected = semigroup_from_mask_by_comparison(mask, frob, m)
             assert _semigroup_from_mask(mask, frob, m) == expected, (base, mask)
+            listed.append(expected)
+        assert oversemigroups_with_multiplicity(base, m) == listed, base
     for m1 in range(3, 301):
         for mask, frob in _family_masks(m1):
             expected = semigroup_from_mask_by_comparison(mask, frob, m1)
             assert _semigroup_from_mask(mask, frob, m1) == expected, (m1, frob)
+
+
+@pytest.mark.parametrize(
+    "gens, count", [([7, 8], 100), ([8, 11], 753), ([9, 10], 836), ([12, 13, 14], 1469)]
+)
+def test_tree_walk_lists_what_the_dfs_lists(gens, count):
+    # bases with F up to 59, beyond the pairwise pass above
+    base = from_generators(gens)
+    m, frob = base.multiplicity, base.frobenius
+    expected = [_semigroup_from_mask(mask, frob, m) for mask in iter_cover_masks(base)]
+    assert len(expected) == count
+    assert oversemigroups_with_multiplicity(base, m) == expected
+
+
+def test_preorder_rank_orders_subsets_lexicographically():
+    # every subset of a window of 9, ranked from its mirror over [0, F]
+    # with F = 8, in the order of their ascending tuples, from 0
+    frob = 8
+    full = (1 << frob + 1) - 1
+    subsets = [c for k in range(frob + 2) for c in combinations(range(frob + 1), k)]
+    ranks = {c: _preorder_rank(sum(1 << frob - x for x in c), full) for c in subsets}
+    assert sorted(subsets, key=ranks.__getitem__) == sorted(subsets, key=tuple)
+    assert sorted(ranks.values()) == list(range(len(subsets)))
 
 
 def test_semigroup_from_mask_reads_the_apery_set_off_the_mask():
@@ -664,7 +725,7 @@ def test_pigeonhole_lists_exactly_the_uncertified_triples():
     for gens in ([7, 9, 10], [7, 8], [8, 11, 13, 14], [9, 10]):
         base = from_generators(gens)
         m1, frob = base.multiplicity, base.frobenius
-        masks = list(_iter_cover_masks(base))
+        masks = list(iter_cover_masks(base))
         for picks in (masks[:4], masks[-4:], [masks[0]] * 4, masks[::max(1, len(masks) // 4)][:4]):
             families = [_semigroup_from_mask(mask, frob, m1) for mask in picks]
             stand_ins = [(mask, frob) for mask in picks]
