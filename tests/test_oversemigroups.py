@@ -1,5 +1,6 @@
-"""Oversemigroup enumeration against a brute-force subset oracle, and the
-symmetric-cover certificate against the exhaustive gap-subset search."""
+"""Oversemigroup enumeration against a brute-force subset oracle and the
+exhaustive gap-subset search, and the symmetric-cover certificate against
+the same search."""
 
 from __future__ import annotations
 
@@ -224,7 +225,7 @@ def test_semigroup_from_mask_matches_the_pairwise_oracle():
     "gens, count", [([7, 8], 100), ([8, 11], 753), ([9, 10], 836), ([12, 13, 14], 1469)]
 )
 def test_tree_walk_lists_what_the_dfs_lists(gens, count):
-    # bases with F up to 59, beyond the pairwise pass above
+    # bases with F from 41 to 71, beyond the pairwise pass above
     base = from_generators(gens)
     m, frob = base.multiplicity, base.frobenius
     expected = [_semigroup_from_mask(mask, frob, m) for mask in iter_cover_masks(base)]
