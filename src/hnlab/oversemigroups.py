@@ -17,10 +17,10 @@ F'/2 >= m - 1/2.  A symmetric T is its own witness, as F' = F(T).
 ``oversemigroups_with_multiplicity`` walks the tree of numerical semigroups
 with decomposition numbers (Fromentin & Hivert, Math. Comp. 85, 2016).
 
-The census counts its triples per m1 in closed form: a Möbius sum over
-the squarefree divisors of m1 for the gcd, less the members of <m1, m2>
-above m2, two of whose terms sum in closed form and the rest by floor
-sums.  A witness family of m1 ({0} and runs linear in m1, checked by
+The census counts its triples per m1 in closed form, in one walk of the
+squarefree divisors of m1 (factored once per process): a Möbius sum for
+the gcd, less the members of <m1, m2> above m2, two of whose terms sum
+in closed form and the rest by floor sums.  A witness family of m1 ({0} and runs linear in m1, checked by
 sums of runs) that holds both m2 and m3 contains the triple, so only
 the triples no family holds need the criterion.  A certificate checked
 once per process (``family_certificate``: for each m3 up to one past
@@ -262,8 +262,10 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _squarefree_divisors(n: int) -> list[tuple[int, int]]:
-    """Each squarefree divisor e of n >= 1 with its Möbius value μ(e)."""
+@cache
+def _squarefree_divisors(n: int) -> tuple[tuple[int, int], ...]:
+    """Each squarefree divisor e of n >= 1 with its Möbius value μ(e),
+    factored once per n and process and shared, hence a tuple."""
     divisors, p = [(1, 1)], 2
     while n > 1:
         if p * p > n:
@@ -273,7 +275,7 @@ def _squarefree_divisors(n: int) -> list[tuple[int, int]]:
             while n % p == 0:
                 n //= p
         p += 1
-    return divisors
+    return tuple(divisors)
 
 
 def _floor_sum(n: int, m: int, a: int, b: int) -> int:
@@ -294,38 +296,34 @@ def _floor_sum(n: int, m: int, a: int, b: int) -> int:
     return total
 
 
-def _gcd_one_pairs(m1: int, bound: int, divisors: list[tuple[int, int]]) -> int:
-    """The pairs m1 < m2 < m3 <= bound with m1 not dividing m2 and
-    gcd(m1, m2, m3) = 1.  By Möbius over the squarefree e | m1 in
-    ``divisors``, with q = m1/e and n = ⌊bound/e⌋: the pairs
-    q < b < c <= n, less those with b = k·q for 2 <= k <= ⌊n/q⌋."""
-    total = 0
+def _census_count(m1: int, bound: int) -> int:
+    """The triples m1 < m2 < m3 <= bound with gcd 1 and embedding dimension 3:
+    the pairs with m1 not dividing m2 and gcd(m1, m2, m3) = 1, less the
+    members of <m1, m2> in (m2, bound] summed over the m2 in (m1, bound)
+    coprime to m1.  One walk of the squarefree e | m1 with μ(e) takes the
+    pairs by Möbius (with q = m1/e and n = ⌊bound/e⌋, the pairs q < b < c <= n
+    less those with b = i·q for 2 <= i <= ⌊n/q⌋ = K), φ(m1) and the c(r)
+    residues up to r coprime to m1, for K, r = divmod(bound, m1).  A member
+    is i·m1 + j·m2 for one i >= 0 and 0 <= j < m1; with m2 = t·m1 + s, those
+    with j = 0 number K - t and those with j = 1 number K - t - [s > r], so
+    both sum in closed form.  Each 2 <= j <= bound/(m1 + 1) is one floor sum,
+    with a negative slope, per e over m2 = e·t."""
+    k, r = divmod(bound, m1)
+    divisors = _squarefree_divisors(m1)
+    pairs = phi = c_r = 0
     for e, mu in divisors:
         q, n = m1 // e, bound // e
-        k = n // q
-        total += mu * ((n - q) * (n - q - 1) // 2 - (k - 1) * n + q * (k * (k + 1) // 2 - 1))
-    return total
-
-
-def _members_above(m1: int, bound: int, divisors: list[tuple[int, int]]) -> int:
-    """The members of <m1, m2> in (m2, bound], summed over the m2 in
-    (m1, bound) coprime to m1.  Each member is i·m1 + j·m2 for one i >= 0
-    and 0 <= j < m1.  With K, r = divmod(bound, m1) and m2 = t·m1 + s,
-    those with j = 0 number K - t and those with j = 1 number
-    K - t - [s > r], so both sum in closed form over the φ(m1) residues s
-    and the c(r) of them up to r.  Each 2 <= j <= bound/(m1 + 1) is one
-    floor sum, with a negative slope, per e in ``divisors`` over m2 = e·t."""
-    k, r = divmod(bound, m1)
-    phi = sum(mu * (m1 // e) for e, mu in divisors)
-    c_r = sum(mu * (r // e) for e, mu in divisors)
-    total = phi * (k * (k - 1) + (k - 1) * (k - 2)) // 2 + (k - 1) * c_r
+        pairs += mu * ((n - q) * (n - q - 1) // 2 - (k - 1) * n + q * (k * (k + 1) // 2 - 1))
+        phi += mu * q
+        c_r += mu * (r // e)
+    members = phi * (k * (k - 1) + (k - 1) * (k - 2)) // 2 + (k - 1) * c_r
     for j in range(2, min(m1 - 1, bound // (m1 + 1)) + 1):
         for e, mu in divisors:
             lo, hi = m1 // e + 1, bound // (j * e)  # m2 = e·t for lo <= t <= hi
             if hi >= lo:
                 count = hi - lo + 1
-                total += mu * (_floor_sum(count, m1, -j * e, bound - j * e * lo) + count)
-    return total
+                members += mu * (_floor_sum(count, m1, -j * e, bound - j * e * lo) + count)
+    return pairs - members
 
 
 def _left_pairs(m1: int, window: int, families: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -359,8 +357,9 @@ def verify_delta(bound: int, jobs: int = 1) -> DeltaReport:
     symmetric cover, and compare against the known four.
 
     The triples are counted per m1 in closed form, not listed: the pairs
-    with gcd 1 less the members of <m1, m2> above m2, from one
-    factorization of m1.  The certificate checked once per process
+    with gcd 1 less the members of <m1, m2> above m2, in one walk of the
+    squarefree divisors of m1, a table filled on first use and kept for
+    the process.  The certificate checked once per process
     (``family_certificate``) lists the triples no witness family holds;
     those within ``bound``, DELTA with the paper's families, go to the
     odd-gap criterion in lexicographic order.  ``jobs`` is accepted and
@@ -371,10 +370,7 @@ def verify_delta(bound: int, jobs: int = 1) -> DeltaReport:
     if bound > CENSUS_MAX_BOUND:
         raise DomainError(f"bound must be at most {CENSUS_MAX_BOUND}, got {bound}")
     searched = [t for t in family_certificate().leftover if t[2] <= bound]
-    examined = 0
-    for m1 in range(3, bound - 1):
-        divisors = _squarefree_divisors(m1)
-        examined += _gcd_one_pairs(m1, bound, divisors) - _members_above(m1, bound, divisors)
+    examined = sum(_census_count(m1, bound) for m1 in range(3, bound - 1))
     flagged = tuple(t for t in searched if not has_symmetric_cover(from_generators(t)))
     expected = tuple(t for t in DELTA if t[2] <= bound)
     return DeltaReport(bound, flagged, expected, examined, len(searched))

@@ -42,11 +42,10 @@ from hnlab.oversemigroups import (
     _bits,
     _dimension_3_triples,
     _family_masks,
+    _census_count,
     _floor_sum,
-    _gcd_one_pairs,
     _left_pairs,
     _member_mask,
-    _members_above,
     _preorder_rank,
     _semigroup_from_mask,
     _squarefree_divisors,
@@ -596,14 +595,42 @@ def test_third_entries_match_brute_force(m1, width):
     assert dict(third_entries(m1, bound)) == brute_force_third_entries(m1, bound)
 
 
+def brute_force_gcd_one_pairs(m1: int, bound: int) -> int:
+    """The pairs m2 < m3 with m1 not dividing m2 and gcd(m1, m2, m3) = 1,
+    by the m3 up to the bound coprime to each gcd(m1, m2)."""
+    coprime: dict[int, list[int]] = {}  # g -> the count coprime to g in (m1, x] at x - m1
+    pairs = 0
+    for m2 in range(m1 + 1, bound):
+        if m2 % m1:
+            g = gcd(m1, m2)
+            if g not in coprime:
+                coprime[g] = [0, *accumulate(gcd(n, g) == 1 for n in range(m1 + 1, bound + 1))]
+            pairs += coprime[g][-1] - coprime[g][m2 - m1]
+    return pairs
+
+
+def brute_force_members_above(m1: int, bound: int) -> int:
+    """The members of <m1, m2> in (m2, bound], every i*m1 + j*m2, summed over
+    the m2 in (m1, bound) coprime to m1."""
+    full = (2 << bound) - 1
+    multiples = sum(1 << n for n in range(0, bound + 1, m1))
+    count = 0
+    for m2 in range(m1 + 1, bound):
+        if gcd(m1, m2) == 1:
+            members = 0
+            for shift in range(0, bound + 1, m2):
+                members |= multiples << shift
+            count += ((members & full) >> (m2 + 1)).bit_count()
+    return count
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(3, 60), st.integers(0, 300))
 def test_census_count_matches_brute_force(m1, width):
     # the triples of multiplicity m1 the census counts, against enumeration
     bound = m1 + 2 + width
     expected = sum(third.bit_count() for third in brute_force_third_entries(m1, bound).values())
-    divisors = _squarefree_divisors(m1)
-    assert _gcd_one_pairs(m1, bound, divisors) - _members_above(m1, bound, divisors) == expected
+    assert _census_count(m1, bound) == expected
 
 
 @settings(max_examples=500, deadline=None)
@@ -615,39 +642,47 @@ def test_floor_sum_matches_the_direct_sum(n, m, a, b):
 @settings(max_examples=300, deadline=None)
 @given(st.integers(3, 40), st.integers(1, 60), st.integers(0, 400))
 def test_count_members_matches_brute_force(m1, step, width):
-    # the members of <m1, m2> in (m2, bound], every i*m1 + j*m2, summed over
-    # the m2 in (m1, bound) coprime to m1
+    # the count is the pairs less the members above m2, so small m1 and
+    # bounds where many j >= 2 floor sums run check the members' part
     bound = m1 + step + 1 + width
-    full = (2 << bound) - 1
-    multiples = sum(1 << n for n in range(0, bound + 1, m1))
-    expected = 0
-    for m2 in range(m1 + 1, bound):
-        if gcd(m1, m2) == 1:
-            members = 0
-            for shift in range(0, bound + 1, m2):
-                members |= multiples << shift
-            expected += ((members & full) >> (m2 + 1)).bit_count()
-    assert _members_above(m1, bound, _squarefree_divisors(m1)) == expected
+    expected = brute_force_gcd_one_pairs(m1, bound) - brute_force_members_above(m1, bound)
+    assert _census_count(m1, bound) == expected
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 2310), st.integers(2, 6), st.integers(0, 1000))
 def test_count_coprime_matches_brute_force(d, a, width):
-    # m1 = a*d, with bound (a + 1)*d + 1 + width: the pairs m2 < m3 with m1
-    # not dividing m2 and gcd(m1, m2, m3) = 1, by the m3 up to the bound
-    # coprime to each gcd(m1, m2)
+    # m1 = a*d, with bound (a + 1)*d + 1 + width, so m1 has many squarefree
+    # divisors and the Möbius sum over them checks the pairs' part
     m1 = a * d
     assume(m1 >= 3)
     bound = (a + 1) * d + 1 + width
-    coprime: dict[int, list[int]] = {}  # g -> the count coprime to g in (m1, x] at x - m1
-    expected = 0
-    for m2 in range(m1 + 1, bound):
-        if m2 % m1:
-            g = gcd(m1, m2)
-            if g not in coprime:
-                coprime[g] = [0, *accumulate(gcd(n, g) == 1 for n in range(m1 + 1, bound + 1))]
-            expected += coprime[g][-1] - coprime[g][m2 - m1]
-    assert _gcd_one_pairs(m1, bound, _squarefree_divisors(m1)) == expected
+    expected = brute_force_gcd_one_pairs(m1, bound) - brute_force_members_above(m1, bound)
+    assert _census_count(m1, bound) == expected
+
+
+def test_squarefree_divisors_match_the_moebius_recursion():
+    # μ from Σ_{d | n} μ(d) = [n = 1] alone, without factoring; the table is
+    # a tuple, shared between calls
+    mu = [0, 1] + [0] * (CENSUS_MAX_BOUND - 1)
+    for d in range(1, CENSUS_MAX_BOUND + 1):
+        for n in range(2 * d, CENSUS_MAX_BOUND + 1, d):
+            mu[n] -= mu[d]
+    for n in range(1, CENSUS_MAX_BOUND + 1):
+        divisors = _squarefree_divisors(n)
+        assert isinstance(divisors, tuple), n
+        assert sorted(divisors) == [(e, mu[e]) for e in range(1, n + 1) if n % e == 0 and mu[e]]
+        assert _squarefree_divisors(n) is divisors, n
+
+
+def test_divisor_table_leaks_nothing_between_bounds():
+    _squarefree_divisors.cache_clear()
+    cold = verify_delta(36)
+    assert (cold.triples_examined, cold.triples_searched) == (3_509, 4)
+    _squarefree_divisors.cache_clear()
+    assert verify_delta(2000).triples_examined == 1_078_044_064
+    assert verify_delta(36) == cold
+    assert verify_delta(36) == cold
 
 
 def test_census_at_bound_300_is_fast():
@@ -662,7 +697,7 @@ def test_census_at_bound_300_is_fast():
 
 
 def test_census_at_the_cap_is_fast():
-    # on a 2-vCPU Xeon guest the closed form takes about 0.1 s at the cap
+    # on a 2-vCPU Xeon guest the closed form takes 0.03 to 0.07 s at the cap
     # and the per-pair masks of mask_census 3.5 to 7 s, so a fallback to
     # per-pair work fails
     started = time.perf_counter()
