@@ -20,15 +20,16 @@ with decomposition numbers (Fromentin & Hivert, Math. Comp. 85, 2016).
 The census counts its triples per m1 in closed form, in one walk of the
 squarefree divisors of m1 (factored once per process): a Möbius sum for
 the gcd, less the members of <m1, m2> above m2, two of whose terms sum
-in closed form and the rest by floor sums.  A witness family of m1 ({0} and runs linear in m1, checked by
-sums of runs) that holds both m2 and m3 contains the triple, so only
-the triples no family holds need the criterion.  A certificate checked
-once per process (``family_certificate``: for each m3 up to one past
-the largest F, the m2 below it that no family holding m3 has, listed at
-finitely many m1, and a crossing-point lemma on the run table) lists
-them, the same at every bound: none for m1 >= 5, and exactly DELTA with
-the paper's families.  The cover witness and the families pass one
-check of symmetry, ``_is_symmetric_mask``.
+in closed form and the rest by floor sums.  A witness family of m1 ({0}
+and runs linear in m1, checked by sums of runs) that holds both m2 and
+m3 contains the triple, so only the triples no family holds need the
+criterion.  A certificate checked once per process
+(``family_certificate``: for each m3 up to one past the largest F, the
+m2 below it that no family holding m3 has, listed at finitely many m1,
+and a crossing-point lemma on the run table) lists them, the same at
+every bound: none for m1 >= 5, and exactly DELTA with the paper's
+families.  The cover witness and the families pass one check of
+symmetry, ``_is_symmetric_mask``.
 """
 
 from __future__ import annotations

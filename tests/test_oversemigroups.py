@@ -40,9 +40,9 @@ from hnlab.oversemigroups import (
     CENSUS_MAX_BOUND,
     _FAMILY_RUNS,
     _bits,
+    _census_count,
     _dimension_3_triples,
     _family_masks,
-    _census_count,
     _floor_sum,
     _left_pairs,
     _member_mask,
