@@ -56,8 +56,6 @@ from .oversemigroups import (
     CoverQuery,
     CoverVerdict,
     DeltaReport,
-    FamilyCertificate,
-    family_certificate,
     has_symmetric_cover,
     oversemigroups_with_multiplicity,
     symmetric_cover,

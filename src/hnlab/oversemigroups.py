@@ -20,25 +20,29 @@ with decomposition numbers (Fromentin & Hivert, Math. Comp. 85, 2016).
 The census counts its triples per m1 in closed form, in one walk of the
 squarefree divisors of m1 (factored once per process): a Möbius sum for
 the gcd, less the members of <m1, m2> above m2, two of whose terms sum
-in closed form and the rest by floor sums.  A witness family of m1 ({0}
-and runs linear in m1, checked by sums of runs) that holds both m2 and
-m3 contains the triple, so only the triples no family holds need the
-criterion.  A certificate checked once per process
-(``family_certificate``: for each m3 up to one past the largest F, the
-m2 below it that no family holding m3 has, listed at finitely many m1,
-and a crossing-point lemma on the run table) lists them, the same at
-every bound: none for m1 >= 5, and exactly DELTA with the paper's
-families.  The cover witness and the families pass one check of
-symmetry, ``_is_symmetric_mask``.
+in closed form and the rest by floor sums.  Only a few triples need the
+criterion, by an odd-count lemma.  An uncovered T = <m1, m2, m3> has no
+odd gap >= 2·m1 - 1, so it holds each odd x in I = [2·m1 - 1, 3·m1 - 1].
+A member of T below 3·m1 is a·m1 + b·m2 + c·m3 with b + c <= 2, so its
+odd members in I are among m2, m3, m1 + m2, m1 + m3 and m2 + m3.  I holds
+⌈(m1 + 1)/2⌉ odd numbers, and at most three of the five sums are odd
+when m1 is odd (m2 and m1 + m2 differ in parity, as do m3 and m1 + m3).
+Hence m1 <= 8 (and m1 <= 5 if odd).  And m3 < 3·m1, as otherwise only
+m2 and m1 + m2 lie in I: one odd sum for odd m1, while I holds at least
+two odd numbers, and two for even m1, while it holds at least three.
+The triples of that box whose five sums hold every odd number of I
+(``_census_leftover``) are the same at every bound, exactly DELTA.  The
+witness families of m1 ({0} and runs linear in m1, checked by sums of
+runs) and the cover witness pass one check of symmetry,
+``_is_symmetric_mask``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import gcd
-from typing import Iterator
 
 from .errors import DomainError, InvariantViolation, UnsupportedMultiplicity
 from .semigroup import NumericalSemigroup, from_generators
@@ -93,9 +97,9 @@ class CoverVerdict:
 @dataclass(frozen=True)
 class DeltaReport:
     """The census up to ``bound``: ``triples_examined`` embedding-dimension-3
-    triples, of which ``triples_searched`` lie in no witness family (with
-    the paper's families, exactly the DELTA triples within ``bound``) and
-    were decided by the criterion; ``flagged`` are the uncovered ones."""
+    triples, of which ``triples_searched`` pass the odd-count lemma's
+    filter (exactly the DELTA triples within ``bound``) and were decided
+    by the criterion; ``flagged`` are the uncovered ones."""
 
     bound: int
     flagged: tuple[tuple[int, int, int], ...]
@@ -106,16 +110,6 @@ class DeltaReport:
     @property
     def matches(self) -> bool:
         return self.flagged == self.expected
-
-
-@dataclass(frozen=True)
-class FamilyCertificate:
-    """The triples of embedding dimension 3 with gcd 1 that no witness
-    family holds, at any m1 and bound, in lexicographic order; the exact
-    checks of ``family_certificate`` passed at m1 = 3 .. ``k0`` + 1."""
-
-    k0: int
-    leftover: tuple[tuple[int, int, int], ...]
 
 
 def _member_mask(s: NumericalSemigroup) -> int:
@@ -255,14 +249,6 @@ def symmetric_cover(q: CoverQuery) -> CoverVerdict:
     return CoverVerdict(True, witness, (mask & ~low).bit_count())
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """The positions of the set bits of ``mask``, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 @cache
 def _squarefree_divisors(n: int) -> tuple[tuple[int, int], ...]:
     """Each squarefree divisor e of n >= 1 with its Möbius value μ(e),
@@ -327,22 +313,6 @@ def _census_count(m1: int, bound: int) -> int:
     return pairs - members
 
 
-def _left_pairs(m1: int, window: int, families: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """The pairs m1 < m2 < m3 <= ``window`` that no family holds both of,
-    sorted: for each m3, the m2 in (m1, m3) that are gaps of every family
-    holding m3.  A family has every number above its Frobenius number as
-    a member."""
-    members = [mask | -(2 << frob) for mask, frob in families]
-    pairs = []
-    for m3 in range(m1 + 2, window + 1):
-        second = (1 << m3) - (2 << m1)  # (m1, m3)
-        for member in members:
-            if member >> m3 & 1:
-                second &= ~member
-        pairs += [(m2, m3) for m2 in _bits(second)]
-    return sorted(pairs)
-
-
 def _dimension_3_triples(m1: int, pairs: list[tuple[int, int]]) -> list[tuple[int, int, int]]:
     """The triples (m1, m2, m3) of ``pairs`` with gcd 1 and embedding
     dimension 3: m1 does not divide m2, and m3 is not in <m1, m2>."""
@@ -353,6 +323,25 @@ def _dimension_3_triples(m1: int, pairs: list[tuple[int, int]]) -> list[tuple[in
     ]
 
 
+@cache
+def _census_leftover() -> tuple[tuple[int, int, int], ...]:
+    """The triples of embedding dimension 3 with gcd 1 that the odd-count
+    lemma (module docstring) leaves to the criterion, at any bound, in
+    lexicographic order: those with m1 <= 8 and m3 < 3·m1 whose five sums
+    m2, m3, m1 + m2, m1 + m3 and m2 + m3 hold every odd number of
+    [2·m1 - 1, 3·m1 - 1].  Built once per process, on first use."""
+    leftover = []
+    for m1 in range(3, 9):
+        odd = set(range(2 * m1 - 1, 3 * m1, 2))
+        pairs = [
+            (m2, m3)
+            for m2, m3 in combinations(range(m1 + 1, 3 * m1), 2)
+            if odd <= {m2, m3, m1 + m2, m1 + m3, m2 + m3}
+        ]
+        leftover += _dimension_3_triples(m1, pairs)
+    return tuple(leftover)
+
+
 def verify_delta(bound: int, jobs: int = 1) -> DeltaReport:
     """Flag every embedding-dimension-3 triple within ``bound`` that has no
     symmetric cover, and compare against the known four.
@@ -360,17 +349,19 @@ def verify_delta(bound: int, jobs: int = 1) -> DeltaReport:
     The triples are counted per m1 in closed form, not listed: the pairs
     with gcd 1 less the members of <m1, m2> above m2, in one walk of the
     squarefree divisors of m1, a table filled on first use and kept for
-    the process.  The certificate checked once per process
-    (``family_certificate``) lists the triples no witness family holds;
-    those within ``bound``, DELTA with the paper's families, go to the
-    odd-gap criterion in lexicographic order.  ``jobs`` is accepted and
-    ignored: the census runs in one process, up to CENSUS_MAX_BOUND.
+    the process.  An uncovered triple holds every odd number of
+    [2·m1 - 1, 3·m1 - 1] among five sums of its generators (the odd-count
+    lemma of the module docstring); the triples that can, listed once per
+    process (``_census_leftover``, exactly DELTA), go to the odd-gap
+    criterion in lexicographic order when they lie within ``bound``.
+    ``jobs`` is accepted and ignored: the census runs in one process, up
+    to CENSUS_MAX_BOUND.
     """
     if bound < 3:
         raise DomainError(f"bound must be at least 3, got {bound}")
     if bound > CENSUS_MAX_BOUND:
         raise DomainError(f"bound must be at most {CENSUS_MAX_BOUND}, got {bound}")
-    searched = [t for t in family_certificate().leftover if t[2] <= bound]
+    searched = [t for t in _census_leftover() if t[2] <= bound]
     examined = sum(_census_count(m1, bound) for m1 in range(3, bound - 1))
     flagged = tuple(t for t in searched if not has_symmetric_cover(from_generators(t)))
     expected = tuple(t for t in DELTA if t[2] <= bound)
@@ -415,69 +406,13 @@ def _family_masks(m1: int) -> list[tuple[int, int]]:
     return masks
 
 
-def _crossing_bound(forms: list[Form]) -> int:
-    """The least integer m1 from which no two of ``forms``, each also ±1,
-    with different slopes cross: forms of slope s exceed those of slope
-    t < s once s·m1 + (least offset) - 1 > t·m1 + (greatest offset) + 1.
-    Neighbouring slopes suffice, as that order is transitive."""
-    forms = sorted(forms)
-    high = dict(forms)  # slope -> greatest offset, slopes ascending
-    low = dict(reversed(forms))  # slope -> least offset
-    slopes = list(high)
-    return max((high[t] - low[s] + 2) // (s - t) + 1 for t, s in zip(slopes, slopes[1:]))
-
-
-@cache
-def family_certificate() -> FamilyCertificate:
-    """Certify the witness families for every m1 >= 3 at once: each is
-    symmetric of multiplicity m1 with its stated F, and the pairs
-    m1 < m2 < m3 they leave are the same at every bound, none for m1 >= 5.
-    ``_FAMILY_RUNS`` is a constant, so the checks run once per process, on
-    first use, and the certificate is shared; a failed check raises and is
-    not cached, so every later call checks again.
-
-    Every set the checks build (the runs, their sums, the members above F,
-    the window (m1, F_max + 1] and, for each m3, the gaps of the families
-    that hold it) is a union of runs between forms of one list, each also
-    ±1: m1, each F and run endpoint of ``_FAMILY_RUNS``, and the sum of
-    any two of these.  Two forms of equal slope keep their difference, and
-    two of different slopes compare the same way past their crossing
-    point.  K0 is the ``_crossing_bound`` of the list (at least 5), 15
-    with the paper's families.  For m1 >= K0 each comparison the checks
-    make (closure, the members up to m1, F a gap, the largest F, the
-    families that hold each m3, a common gap of them below m3) has one
-    outcome, and 2·|mask| - (F + 1) is one linear function of m1.  So
-    exact checks at m1 = 3 .. K0 + 1, two points from K0 on, hold for
-    every m1 >= 3.  The window F_max + 1 is enough: every family holds
-    every m3 from it on, so a pair (m2, F_max + 1) left means m2 is a gap
-    of every family, and without one the pairs left at the window are the
-    pairs left at every bound.  The leftover is the pairs left at m1 in
-    {3, 4} that form triples of embedding dimension 3 with gcd 1.  Raises
-    InvariantViolation if a check fails."""
-    forms = [(1, 0)]  # m1
-    for runs, frob in _FAMILY_RUNS:
-        forms += [frob, *(end for run in runs for end in run)]
-    forms += [(s + t, u + v) for (s, u), (t, v) in combinations_with_replacement(forms, 2)]
-    k0 = max(5, _crossing_bound(forms))
-    leftover = []
-    for m1 in range(3, k0 + 2):
-        masks = _family_masks(m1)
-        window = max(frob for _, frob in masks) + 1
-        pairs = _left_pairs(m1, window, masks)
-        if pairs and m1 >= 5:
-            raise InvariantViolation(f"the witness families of {m1} leave pairs up to {window}")
-        if any(m3 == window for _, m3 in pairs):
-            raise InvariantViolation(f"the witness families of {m1} leave pairs above {window}")
-        leftover += _dimension_3_triples(m1, pairs)
-    return FamilyCertificate(k0, tuple(leftover))
-
-
 def witness_families(m1: int) -> list[NumericalSemigroup]:
     """The four symmetric families of multiplicity m1 >= 5, one of which
     contains each embedding-dimension-3 triple of that multiplicity: runs,
     not generators, checked by run sums to be symmetric with Frobenius
-    number 2*m1 - 1, 2*m1 + 1, 4*m1 - 3 and 2*m1 + 3.  The census
-    certifies the same runs at every m1 >= 3 (``family_certificate``)."""
+    number 2*m1 - 1, 2*m1 + 1, 4*m1 - 3 and 2*m1 + 3.  The census does
+    not use them: the odd-count lemma (module docstring) leaves it no
+    triple of multiplicity m1 >= 5 to decide."""
     if m1 < 5:
         raise DomainError(f"witness families are defined for multiplicity >= 5, got {m1}")
     return [_semigroup_from_mask(mask, frob, m1) for mask, frob in _family_masks(m1)]

@@ -24,7 +24,6 @@ from hnlab import (
     DomainError,
     InvariantViolation,
     UnsupportedMultiplicity,
-    family_certificate,
     from_generators,
     has_symmetric_cover,
     is_symmetric,
@@ -39,12 +38,11 @@ from hnlab.cli import main
 from hnlab.oversemigroups import (
     CENSUS_MAX_BOUND,
     _FAMILY_RUNS,
-    _bits,
     _census_count,
+    _census_leftover,
     _dimension_3_triples,
     _family_masks,
     _floor_sum,
-    _left_pairs,
     _member_mask,
     _preorder_rank,
     _semigroup_from_mask,
@@ -82,6 +80,14 @@ def oracle_oversemigroups(gens: list[int]) -> set[frozenset[int]]:
 
 def members_upto_frobenius(s, frob: int) -> frozenset[int]:
     return frozenset(x for x in range(frob + 1) if s.contains(x))
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def iter_cover_masks(base) -> Iterator[int]:
@@ -709,8 +715,8 @@ def test_census_at_the_cap_is_fast():
     assert elapsed < 2.0, elapsed
 
 
-# The class cut, the oracle of the certificate's per-m3 listing: it shares
-# no code with it, and is fast enough to cut every m1 up to 2000.
+# The class cut: the pairs that no witness family holds, split by the
+# families holding each m3, fast enough to cut every m1 up to 2000.
 def uncertified_pairs(
     m1: int, bound: int, families: list[tuple[int, int]]
 ) -> list[tuple[int, int]]:
@@ -756,8 +762,7 @@ def test_pigeonhole_lists_exactly_the_uncertified_triples():
     # Stand-in families with overlapping gaps, so that the window is cut
     # by several, and with gaps shared by all four: the oversemigroups of
     # multiplicity m1 of a few bases, used for every m1.  The cut and its
-    # filter keep exactly the candidate triples in no stand-in, and so does
-    # the certificate's per-m3 listing.
+    # filter keep exactly the candidate triples in no stand-in.
     for gens in ([7, 9, 10], [7, 8], [8, 11, 13, 14], [9, 10]):
         base = from_generators(gens)
         m1, frob = base.multiplicity, base.frobenius
@@ -772,12 +777,6 @@ def test_pigeonhole_lists_exactly_the_uncertified_triples():
                     if not any(t[1] in s and t[2] in s for s in families)
                 ]
                 assert cut_triples(bound, lambda m: stand_ins) == expected, (gens, bound)
-                listed = [
-                    t
-                    for m in range(3, bound - 1)
-                    for t in _dimension_3_triples(m, _left_pairs(m, bound, stand_ins))
-                ]
-                assert listed == expected, (gens, bound)
 
 
 @pytest.mark.parametrize("bound", [9, 12, 15])
@@ -967,36 +966,7 @@ def test_family_gaps_above_m1_are_linear_and_disjoint():
         assert not gaps[0] & gaps[1] and not gaps[0] & gaps[3] and not gaps[1] & gaps[3], m1
 
 
-# ── the certificate for every m1 >= 5 ────────────────────────────────────────
-
-
-def listed_forms(table) -> list[tuple[int, int]]:
-    """The forms (slope, offset) of a run table that the checks compare:
-    m1, each F, each run endpoint, and the sum of any two of these."""
-    base = [(1, 0)]
-    for runs, frob in table:
-        base.append(frob)
-        for run in runs:
-            base += run
-    sums = {(s + t, o + p) for i, (s, o) in enumerate(base) for t, p in base[i:]}
-    return sorted(set(base) | sums)
-
-
-def plain_crossing_bound(forms: list[tuple[int, int]]) -> int:
-    """The least integer from which no two of ``forms``, each also ±1, with
-    different slopes meet: one past the floor of every crossing point."""
-    bound = 0
-    for (s, o), (t, p) in combinations(forms, 2):
-        if s != t:
-            for shift in range(-2, 3):  # (p ± 1) - (o ± 1)
-                bound = max(bound, (p - o + shift) // (s - t) + 1)
-    return bound
-
-
-def test_certificate_k0_is_the_largest_crossing_point():
-    certificate = family_certificate()
-    assert certificate.k0 == max(5, plain_crossing_bound(listed_forms(_FAMILY_RUNS))) == 15
-    assert certificate.leftover == DELTA
+# ── the run table ────────────────────────────────────────────────────────────
 
 
 def family_sets(m1: int) -> list[tuple[set[int], int]]:
@@ -1009,7 +979,7 @@ def family_sets(m1: int) -> list[tuple[set[int], int]]:
 
 
 def test_families_match_the_set_oracle_past_k0():
-    for m1 in range(3, family_certificate().k0 + 51):
+    for m1 in range(3, 66):
         masks = _family_masks(m1)
         assert len(masks) == (2 if m1 == 3 else 4), m1
         for (mask, frob), (members, f) in zip(masks, family_sets(m1)):
@@ -1022,7 +992,7 @@ def test_families_match_the_set_oracle_past_k0():
 
 def test_families_hold_every_pair_up_to_4m1_past_k0():
     # the per-pair cut of mask_census over every pair m2 < m3 <= 4·m1
-    for m1 in range(5, family_certificate().k0 + 51):
+    for m1 in range(5, 66):
         bound = 4 * m1
         family_gaps = [(2 << frob) - 1 ^ mask for mask, frob in _family_masks(m1)]
         for m2 in range(m1 + 1, bound):
@@ -1033,119 +1003,36 @@ def test_families_hold_every_pair_up_to_4m1_past_k0():
             assert third == 0, (m1, m2)
 
 
-@pytest.fixture
-def fresh_certificate():
-    """Clear the cached certificate before and after the test.  Request it
-    ahead of ``monkeypatch``, so the last clear runs after a patched run
-    table or ``_family_masks`` is restored."""
-    family_certificate.cache_clear()
-    yield
-    family_certificate.cache_clear()
-
-
-def test_the_certificate_is_checked_once_per_process(fresh_certificate, monkeypatch):
-    # two censuses and a direct call build the masks of m1 = 3 .. K0 + 1 once,
-    # and share one certificate
-    calls = []
-
-    def counted_masks(m1: int) -> list[tuple[int, int]]:
-        calls.append(m1)
-        return _family_masks(m1)
-
-    monkeypatch.setattr(oversemigroups, "_family_masks", counted_masks)
-    assert verify_delta(36) == verify_delta(36)
-    certificate = family_certificate()
-    assert family_certificate() is certificate
-    assert calls == list(range(3, certificate.k0 + 2))
-    assert len(calls) == certificate.k0 - 1 == 14
-
-
 def with_family(index: int, family) -> tuple:
     """The run table with the family at ``index`` replaced."""
     return tuple(family if i == index else f for i, f in enumerate(_FAMILY_RUNS))
 
 
-PERTURBED_TABLES = {  # each with the check that fails
+PERTURBED_TABLES = {
     # family 3's middle run from 2·m1: 2·m1 - 1 a gap, too few members
-    "family 3 from 2m1": (
-        with_family(
-            2, ((((0, 0), (0, 0)), ((1, 0), (1, 0)), ((2, 0), (3, -4)), ((3, -2), (4, -4))), (4, -3))
-        ),
-        "not symmetric",
+    "family 3 from 2m1": with_family(
+        2, ((((0, 0), (0, 0)), ((1, 0), (1, 0)), ((2, 0), (3, -4)), ((3, -2), (4, -4))), (4, -3))
     ),
     # family 4's F one higher: 2·m1 + 4 = m1 + (m1 + 4) is a member
-    "family 4 F + 1": (with_family(3, (_FAMILY_RUNS[3][0], (2, 4))), "not symmetric"),
-    # family 1 as family 2: each symmetric, but (m1 + 1, m1 + 2) in none
-    "family 1 as family 2": (with_family(0, _FAMILY_RUNS[1]), "leave pairs"),
+    "family 4 F + 1": with_family(3, (_FAMILY_RUNS[3][0], (2, 4))),
 }
 
 
 @pytest.mark.parametrize("name", PERTURBED_TABLES)
-def test_a_perturbed_run_table_fails_the_certificate(
-    fresh_certificate, monkeypatch, capsys, name
-):
-    table, failure = PERTURBED_TABLES[name]
-    monkeypatch.setattr(oversemigroups, "_FAMILY_RUNS", table)
-    # a failed check is not cached, so every call raises, with no m1 >= 5 counted
+def test_a_perturbed_run_table_fails_the_certificate(monkeypatch, name):
+    # the run sums certify each family symmetric, on every call; the census
+    # does not read the run table
+    monkeypatch.setattr(oversemigroups, "_FAMILY_RUNS", PERTURBED_TABLES[name])
     for _ in range(2):
-        with pytest.raises(InvariantViolation, match=failure):
-            family_certificate()
-    with pytest.raises(InvariantViolation):
-        verify_delta(3)
-    assert main(["delta", "verify", "--bound", "40", "--format", "json"]) == 3
-    assert json.loads(capsys.readouterr().out)["error"]["code"] == "InvariantViolation"
+        with pytest.raises(InvariantViolation, match="not symmetric"):
+            witness_families(5)
+    assert verify_delta(40).matches
 
 
-def with_masks_at(monkeypatch, m1: int, keep) -> None:
-    """Patch ``_family_masks`` to keep only ``keep(masks)`` of the families of m1."""
-    def masks(m: int) -> list[tuple[int, int]]:
-        return keep(_family_masks(m)) if m == m1 else _family_masks(m)
-
-    monkeypatch.setattr(oversemigroups, "_family_masks", masks)
-
-
-def test_the_certificate_checks_the_window(fresh_certificate, monkeypatch):
-    # with family 1 alone at m1 = 3, F = 5 is in no family: (5, 6) is left
-    # at the window F + 1 = 6, and (5, m3) for every m3 above it
-    with_masks_at(monkeypatch, 3, lambda masks: masks[:1])
-    with pytest.raises(InvariantViolation, match="of 3 leave pairs above 6"):
-        family_certificate()
-
-
-def test_the_certificate_checks_the_cut_from_m1_5(fresh_certificate, monkeypatch):
-    # with family 1 alone at m1 = 7 the checks at m1 = 3 and 4 pass, and the
-    # listing at the window F + 1 = 14 leaves pairs, which it may not from
-    # m1 = 5 on
-    with_masks_at(monkeypatch, 7, lambda masks: masks[:1])
-    with pytest.raises(InvariantViolation, match="of 7 leave pairs up to 14"):
-        family_certificate()
-
-
-def test_a_smaller_leftover_still_leaves_the_criterion_to_decide(fresh_certificate, monkeypatch):
-    # without family 1 at m1 = 4 every m2 < 16 is still in a family, so the
-    # certificate holds with more triples left; the criterion, not the
-    # table, flags exactly DELTA
-    with_masks_at(monkeypatch, 4, lambda masks: masks[1:])
-    families = mask_families(4)[1:]
-    extra = [
-        t
-        for t in candidate_triples(16)
-        if t[0] == 4 and not any(t[1] in s and t[2] in s for s in families)
-    ]
-    leftover = family_certificate().leftover
-    assert leftover == (*DELTA[:2], *extra) and len(leftover) == 8
-    report = verify_delta(40)
-    assert report.flagged == DELTA and report.triples_searched == 8
-
-
-def test_the_census_does_not_need_family_3(fresh_certificate, monkeypatch):
+def test_the_census_does_not_need_family_3():
     # {0, m1} ∪ [2m1 - 1, 3m1 - 4] ∪ [3m1 - 2, 4m1 - 4] holds no triple that
-    # families 1, 2 and 4 leave to the criterion: without it the certificate
-    # still passes, from a smaller K0, and so does a plain-set check of the
+    # families 1, 2 and 4 leave to the criterion: a plain-set check of the
     # pairs up to 6·m1 for m1 < 80
-    monkeypatch.setattr(oversemigroups, "_FAMILY_RUNS", _FAMILY_RUNS[:2] + _FAMILY_RUNS[3:])
-    certificate = family_certificate()
-    assert (certificate.k0, certificate.leftover) == (14, DELTA)
     left = []
     for m1 in range(3, 80):
         bound = 6 * m1
@@ -1157,6 +1044,84 @@ def test_the_census_does_not_need_family_3(fresh_certificate, monkeypatch):
                     third &= family_gaps
             left += [(m1, m2, m3) for m3 in _bits(third)]
     assert tuple(left) == DELTA
+
+
+# ── the odd-count lemma ──────────────────────────────────────────────────────
+
+
+def test_odd_members_below_3m1_are_among_the_five_sums():
+    # the lemma's premise, by enumeration: the odd members of <m1, m2, m3>
+    # in I = [2·m1 - 1, 3·m1 - 1] are among m2, m3, m1 + m2, m1 + m3, m2 + m3
+    for m1 in range(3, 25):
+        top = 3 * m1 - 1
+        full = (2 << top) - 1
+        odd = sum(1 << x for x in range(2 * m1 - 1, top + 1, 2))
+        for m2, m3 in combinations(range(m1 + 1, 4 * m1 + 3), 2):
+            members = 1
+            for g in (m1, m2, m3):
+                for _ in range(top // g):
+                    members = (members | members << g) & full
+            sums = sum(1 << x for x in {m2, m3, m1 + m2, m1 + m3, m2 + m3} if x <= top)
+            assert members & odd & ~sums == 0, (m1, m2, m3)
+
+
+def test_the_criterion_flags_only_the_leftover_in_the_lemma_box():
+    # every triple the lemma does not rule out, m1 <= 8 and m3 < 3·m1, goes
+    # to the criterion; only the leftover is uncovered
+    box = [
+        (m1, m2, m3)
+        for m1 in range(3, 9)
+        for m2, m3 in combinations(range(m1 + 1, 3 * m1), 2)
+        if gcd(m1, m2, m3) == 1 and from_generators((m1, m2, m3)).embedding_dimension == 3
+    ]
+    assert len(box) == 198
+    flagged = tuple(t for t in box if not has_symmetric_cover(from_generators(t)))
+    assert flagged == _census_leftover() == DELTA
+
+
+def test_uncovered_triples_up_to_60_are_exactly_delta():
+    # the lemma's conclusion by brute force, past every box m3 < 3·m1 <= 24
+    uncovered = [t for t in candidate_triples(60) if not has_symmetric_cover(from_generators(t))]
+    assert tuple(uncovered) == DELTA
+
+
+@pytest.fixture
+def fresh_leftover():
+    """Clear the cached leftover before and after the test, so that one
+    built with a patched ``_dimension_3_triples`` is not kept."""
+    _census_leftover.cache_clear()
+    yield
+    _census_leftover.cache_clear()
+
+
+def test_the_leftover_is_built_once_per_process(fresh_leftover, monkeypatch):
+    # two censuses and two direct calls filter each m1 = 3 .. 8 once, and
+    # share one tuple
+    calls = []
+
+    def counted_triples(m1: int, pairs: list[tuple[int, int]]) -> list[tuple[int, int, int]]:
+        calls.append(m1)
+        return _dimension_3_triples(m1, pairs)
+
+    monkeypatch.setattr(oversemigroups, "_dimension_3_triples", counted_triples)
+    assert verify_delta(36) == verify_delta(36)
+    assert _census_leftover() is _census_leftover()
+    assert calls == list(range(3, 9))
+
+
+def test_a_smaller_leftover_still_leaves_the_criterion_to_decide(
+    fresh_leftover, monkeypatch, capsys
+):
+    # a filter that keeps only m1 = 3 hands the criterion two triples: it
+    # flags both, and the census reports the mismatch with DELTA (exit 3)
+    def first_only(m1: int, pairs: list[tuple[int, int]]) -> list[tuple[int, int, int]]:
+        return _dimension_3_triples(m1, pairs) if m1 == 3 else []
+
+    monkeypatch.setattr(oversemigroups, "_dimension_3_triples", first_only)
+    report = verify_delta(40)
+    assert (report.flagged, report.triples_searched, report.matches) == (DELTA[:2], 2, False)
+    assert main(["delta", "verify", "--bound", "40", "--format", "json"]) == 3
+    assert json.loads(capsys.readouterr().out)["result"]["match"] is False
 
 
 @pytest.mark.parametrize("bounds", [range(3, 61), [100], [400], [2000]])
