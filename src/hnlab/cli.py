@@ -175,12 +175,14 @@ def _cmd_cases(args: argparse.Namespace) -> Result:
 
 
 def _fmt(value: Any) -> str:
-    """One payload value as text: a list space-joined (a list of lists
-    comma-joined per item, "; " between items), bools as true/false, None
-    as '-'."""
+    """One payload value as text: a list space-joined (a list of ints by one
+    C-level ``repr``; a list of lists comma-joined per item, "; " between
+    items), bools as true/false, None as '-'."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, list):
+        if value and type(value[0]) is int:
+            return repr(value)[1:-1].replace(",", "")
         if value and isinstance(value[0], list):
             return "; ".join(",".join(map(str, item)) for item in value)
         return " ".join(map(str, value))

@@ -213,11 +213,12 @@ def pseudo_frobenius(s: NumericalSemigroup) -> tuple[int, ...]:
 
     Each such x has x + m in the Apéry set Ap(S, m), so they are the values
     w - m for w != 0 in Ap(S, m) with w - m + g in S for every minimal
-    generator g (Rosales & García-Sánchez, Numerical Semigroups, Prop. 2.20).
-    Testing the minimal generators suffices, since sums of members stay members.
+    generator g != m (Rosales & García-Sánchez, Numerical Semigroups, Prop.
+    2.20); sums of members stay members.  As w - m + g > 0, each test is one
+    index: ap[(w + g) % m] <= w + g - m.
     """
-    m, gens = s.multiplicity, s.minimal_gens
-    return tuple(sorted(w - m for w in s.apery if w and all(w - m + g in s for g in gens)))
+    m, ap, gens = s.multiplicity, s.apery, s.minimal_gens[1:]
+    return tuple(sorted(w - m for w in ap if w and all(ap[(w + g) % m] <= w + g - m for g in gens)))
 
 
 def traits(s: NumericalSemigroup) -> TraitReport:

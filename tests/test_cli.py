@@ -12,7 +12,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from hnlab import catalogue_entries, cli, oversemigroups
@@ -428,6 +428,57 @@ def test_cases_e3(capsys):
 def test_cases_out_of_range_exits_2(capsys):
     code, payload = run_json(capsys, "cases", "--e", "9")
     assert code == 2
+
+
+# ── text rendering ───────────────────────────────────────────────────────────
+
+BIG_INTEGERS = st.one_of(st.integers(min_value=2**64), st.integers(max_value=-(2**64)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.integers(-1000, 1000), BIG_INTEGERS), max_size=30))
+@example([])
+@example([0])
+@example([-7])
+@example([2**64 + 1, -(2**70), 0])
+def test_an_int_list_renders_as_the_join(xs):
+    assert cli._fmt(xs) == " ".join(map(str, xs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.lists(st.text(), min_size=1), st.lists(st.booleans(), min_size=1)))
+def test_string_and_bool_lists_render_by_the_join(xs):
+    assert cli._fmt(xs) == " ".join(map(str, xs))
+
+
+def _flat_lists(value):
+    """Every list in a JSON document whose items are neither lists nor objects."""
+    if isinstance(value, dict):
+        for item in value.values():
+            yield from _flat_lists(item)
+    elif isinstance(value, list):
+        if any(isinstance(item, (dict, list)) for item in value):
+            for item in value:
+                yield from _flat_lists(item)
+        else:
+            yield value
+
+
+def test_every_flat_list_in_the_golden_reports_holds_one_type():
+    # `_fmt` picks its rendering by the type of a list's first item alone
+    golden = Path(__file__).parent / "golden" / "cli_transcripts.json"
+    reports = [
+        json.loads(entry["stdout"])
+        for entry in json.loads(golden.read_text("utf-8"))
+        if entry["argv"][-1] == "json" and entry["stdout"]
+    ]
+    types = [
+        {type(item) for item in flat}
+        for report in reports
+        for flat in _flat_lists([report["inputs"], report.get("result", {})])
+    ]
+    assert [t for t in types if len(t) > 1] == []
+    assert {int, str} <= set().union(*types)
 
 
 # ── report envelope and environment cap ──────────────────────────────────────

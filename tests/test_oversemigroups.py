@@ -1,6 +1,6 @@
 """Oversemigroup enumeration against a brute-force subset oracle and the
-exhaustive gap-subset search, and the symmetric-cover certificate against
-the same search."""
+exhaustive gap-subset search, and the symmetric-cover criterion and the
+witness families against the same search."""
 
 from __future__ import annotations
 
@@ -812,7 +812,7 @@ def test_verify_delta_matches_exhaustive_oracle(covered_upto_30):
         assert list(verify_delta(bound).flagged) == uncovered, bound
 
 
-def test_family_certificates_agree_with_the_search(covered_upto_30):
+def test_witness_families_agree_with_the_search(covered_upto_30):
     # every m1 from 3: a family-certified triple is covered by the DFS, and
     # the triples no family certifies are exactly DELTA
     uncertified = []
@@ -1019,7 +1019,7 @@ PERTURBED_TABLES = {
 
 
 @pytest.mark.parametrize("name", PERTURBED_TABLES)
-def test_a_perturbed_run_table_fails_the_certificate(monkeypatch, name):
+def test_a_perturbed_run_table_fails_the_witness_families(monkeypatch, name):
     # the run sums certify each family symmetric, on every call; the census
     # does not read the run table
     monkeypatch.setattr(oversemigroups, "_FAMILY_RUNS", PERTURBED_TABLES[name])
@@ -1125,7 +1125,7 @@ def test_a_smaller_leftover_still_leaves_the_criterion_to_decide(
 
 
 @pytest.mark.parametrize("bounds", [range(3, 61), [100], [400], [2000]])
-def test_the_certified_census_matches_the_cut_at_every_m1(bounds):
+def test_the_census_matches_the_family_cut_at_every_m1(bounds):
     for bound in bounds:
         searched = cut_triples(bound, _family_masks)
         flagged = tuple(t for t in searched if not has_symmetric_cover(from_generators(t)))

@@ -15,6 +15,7 @@ from hnlab import (
     InvalidGenerator,
     NonCofinite,
     NotMember,
+    NumericalSemigroup,
     apery_set,
     from_generators,
     is_symmetric,
@@ -221,22 +222,40 @@ def test_traits_known_values():
     t = traits(from_generators([1]))
     assert t.symmetric and t.irreducible and t.type == 0
 
+def oracle_pseudo_frobenius(s: NumericalSemigroup) -> tuple[int, ...]:
+    """Brute-force the defining condition x + t in S for all nonzero t in S,
+    quantified over elements up to F + multiplicity."""
+    p = profile(s)
+    return tuple(
+        x
+        for x in p.gaps
+        if all(
+            (x + t) in s
+            for t in range(1, p.frobenius + s.multiplicity + 1)
+            if t in s
+        )
+    )
+
 def test_pseudo_frobenius_definition_on_population():
-    # brute-force the defining condition x + s in S for all nonzero s,
-    # quantified over elements up to F + multiplicity
     for gens in POPULATION[:400]:
         s = from_generators(gens)
-        p = profile(s)
-        expected = tuple(
-            x
-            for x in p.gaps
-            if all(
-                (x + t) in s
-                for t in range(1, p.frobenius + s.multiplicity + 1)
-                if t in s
-            )
-        )
-        assert pseudo_frobenius(s) == expected
+        assert pseudo_frobenius(s) == oracle_pseudo_frobenius(s)
+
+def test_pseudo_frobenius_definition_on_the_analyze_shapes():
+    # many generators: (m, 2m - k, ..., 2m - 1), the shape of the benchmark's
+    # many-generator `sgp analyze` inputs, for every k < m
+    for m in range(5, 41):
+        for k in range(1, m):
+            s = from_generators([m, *range(2 * m - k, 2 * m)])
+            assert pseudo_frobenius(s) == oracle_pseudo_frobenius(s), (m, k)
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 80), min_size=1, max_size=12))
+def test_pseudo_frobenius_definition_on_random_sets(gens):
+    if gcd(*gens) != 1:
+        gens = gens + [max(gens) + 1]  # gcd(d, max+1) = 1 for any d | max
+    s = from_generators(gens)
+    assert pseudo_frobenius(s) == oracle_pseudo_frobenius(s)
 
 def test_type_and_almost_symmetry_on_population():
     for gens in POPULATION:
