@@ -1,12 +1,12 @@
 """Symmetric covers and oversemigroups of prescribed multiplicity.
 
-Sets are integer bitmasks over [0, F] (everything above F is a member),
-so closures and mirrors are a few shifts.  A symmetric cover has a
-closed form (Rosales & Branco, Pacific J. Math. 209, 2003): for m >= 3,
-some symmetric U of multiplicity m contains T iff T has an odd gap
-F' >= 2m - 1.  Symmetry sends the gap m - 1 of U to its member
-F(U) - m + 1 >= m, so F(U) is such a gap of T.  Conversely, for F' the
-largest odd gap of T, the witness is
+The cover witness and the witness families are integer bitmasks over
+[0, F] (all above F is a member), closed and mirrored by a few shifts.
+A symmetric cover has a closed form (Rosales & Branco, Pacific J. Math.
+209, 2003): for m >= 3, some symmetric U of multiplicity m contains T
+iff T has an odd gap F' >= 2m - 1.  Symmetry sends the gap m - 1 of U
+to its member F(U) - m + 1 >= m, so F(U) is such a gap of T.
+Conversely, for F' the largest odd gap of T, the witness is
 
     U = T ∪ {x in (F'/2, F'] : F' - x not in T} ∪ (F', oo).
 
@@ -15,7 +15,7 @@ member, since F' - x - b in T would put F' - x in T.  Symmetric: exactly
 one of x and F' - x lies in U.  Multiplicity m: each adjoined x is above
 F'/2 >= m - 1/2.  A symmetric T is its own witness, as F' = F(T).
 ``oversemigroups_with_multiplicity`` walks the tree of numerical semigroups
-with decomposition numbers (Fromentin & Hivert, Math. Comp. 85, 2016).
+(Fromentin & Hivert, Math. Comp. 85, 2016) on Apéry sets, with no mask.
 
 The census counts its triples per m1 in closed form, in one walk of the
 squarefree divisors of m1 (factored once per process): a Möbius sum for
@@ -169,34 +169,30 @@ def oversemigroups_with_multiplicity(s: NumericalSemigroup, m: int) -> list[Nume
     of s they adjoin.  A walk down the tree of numerical semigroups (Fromentin
     & Hivert, Math. Comp. 85, 2016): each U but the root {0} ∪ [m, oo) has
     F(U) > m and the parent U ∪ {F(U)}, so V has the children V - {g} for its
-    minimal generators g > F(V) that are gaps of s.  Removing g takes 1 from
-    the decomposition number dec[g + z] (pairs a <= b of nonzero members with
-    a + b = g + z) for each nonzero member z; g + m enters the Apéry set, and
-    is a new minimal generator (all are <= g + m) iff dec[g + m] was 1."""
+    minimal generators g > F(V) that are gaps of s.  There h = g + m enters the
+    Apéry set, and is a new minimal generator iff h - x is a gap for each other
+    minimal generator x: for x > g, h - x < m; h - m = g is removed; and for
+    m < x < g the class of g - x is neither 0 nor g's, so V's Apéry set decides."""
     _require_multiplicity(s, m)
-    frob = s.frobenius
-    top, full = frob + m, (1 << frob + 1) - 1  # dec is read at g + m <= top
-    width = (frob + 1).bit_length() or 1  # the root's dec[y] <= F + 1 for y <= 2·top
-    field = (1 << width) - 1
-    ones = ((1 << (2 * top + 1) * width) - 1) // field  # fields 0 to 2·top, none goes below 0
-    # the root's dec[y] = max(0, y // 2 - m + 1) counts the t = 2m, 2m + 2, ... up to y
-    steps = ((1 << 2 * (frob + 1) * width) - 1) // ((1 << 2 * width) - 1) << 2 * m * width
-    dec, members = steps * ones & ones * field, ones >> (top + m) * width << m * width
-    gaps = full & ~_member_mask(s) & -(1 << m)  # the gaps of s above m
-    mirror = int(format(gaps, f"0{frob + 1}b")[::-1], 2)  # bit F - x for each gap x
+    frob, ap, full = s.frobenius, s.apery, (1 << s.frobenius + 1) - 1
+    gaps = bytearray(b"0" * (m + 1) + b"1" * (frob - m))  # gaps[x] is "1" iff x > m is a gap of s
+    for a in ap:
+        gaps[a::m] = b"0" * len(range(a, len(gaps), m))
     gens = tuple(range(m, 2 * m))
-    stack = [(gens, (0, *gens[1:]), [g for g in gens if gaps >> g & 1], dec, members, mirror)]
-    ranked = {}
+    stack, ranked = [(gens, (0, *gens[1:]), [g for g in gens if g < ap[g % m]], int(gaps, 2))], {}
     while stack:
-        gens, apery, kids, dec, members, mirror = stack.pop()
+        gens, apery, kids, mirror = stack.pop()  # mirror: bit F - x for each gap x of s in V
         ranked[_preorder_rank(mirror, full)] = NumericalSemigroup(gens, apery)
         for i, g in enumerate(kids):
-            h, r, j, shift = g + m, g % m, gens.index(g), g * width
-            new = dec >> h * width & field == 1  # h is a minimal generator of the child
-            child_gens = gens[:j] + gens[j + 1 :] + (h,) * new
-            child_kids = kids[i + 1 :] + [h] * (new and gaps >> h & 1)
-            child = (dec - (members << shift), members ^ 1 << shift, mirror ^ 1 << frob - g)
-            stack.append((child_gens, apery[:r] + (h,) + apery[r + 1 :], child_kids, *child))
+            h, r, j = g + m, g % m, gens.index(g)
+            child_gens, child_kids = gens[:j] + gens[j + 1 :], kids[i + 1 :]
+            for x in gens[1:j]:
+                if apery[(g - x) % m] <= g - x + m:
+                    break
+            else:  # h is a new minimal generator, and a kid if a gap of s
+                child_gens, child_kids = child_gens + (h,), child_kids + [h] * (h < ap[r])
+            child_apery = apery[:r] + (h,) + apery[r + 1 :]
+            stack.append((child_gens, child_apery, child_kids, mirror ^ 1 << frob - g))
     return [ranked[rank] for rank in sorted(ranked)]
 
 

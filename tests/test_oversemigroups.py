@@ -227,10 +227,19 @@ def test_semigroup_from_mask_matches_the_pairwise_oracle():
 
 
 @pytest.mark.parametrize(
-    "gens, count", [([7, 8], 100), ([8, 11], 753), ([9, 10], 836), ([12, 13, 14], 1469)]
+    "gens, count",
+    [
+        ([7, 8], 100),
+        ([8, 11], 753),
+        ([9, 10], 836),
+        ([12, 13, 14], 1469),
+        ([13, 14, 15], 3498),
+        ([16, 17, 18, 19, 21], 2474),
+    ],
 )
 def test_tree_walk_lists_what_the_dfs_lists(gens, count):
-    # bases with F from 41 to 71, beyond the pairwise pass above
+    # bases with F from 41 to 77 and multiplicity up to 16, beyond the
+    # pairwise pass above
     base = from_generators(gens)
     m, frob = base.multiplicity, base.frobenius
     expected = [_semigroup_from_mask(mask, frob, m) for mask in iter_cover_masks(base)]
