@@ -15,7 +15,10 @@ member, since F' - x - b in T would put F' - x in T.  Symmetric: exactly
 one of x and F' - x lies in U.  Multiplicity m: each adjoined x is above
 F'/2 >= m - 1/2.  A symmetric T is its own witness, as F' = F(T).
 ``oversemigroups_with_multiplicity`` walks the tree of numerical semigroups
-(Fromentin & Hivert, Math. Comp. 85, 2016) on Apéry sets, with no mask.
+(Fromentin & Hivert, Math. Comp. 85, 2016) on Apéry sets, with no mask, and
+lists in the walk's own order: a child's gaps extend its parent's by one
+larger gap, so parents first and children by ascending removed generator
+is the lexicographic order of the gap tuples.
 
 The census counts its triples per m1 in closed form, in one walk of the
 squarefree divisors of m1 (factored once per process): a Möbius sum for
@@ -156,34 +159,26 @@ def _require_multiplicity(s: NumericalSemigroup, m: int) -> None:
         )
 
 
-def _preorder_rank(mirror: int, full: int) -> int:
-    """The rank |A| + 2^(F+1) - R - (R & -R) of A ⊆ [0, F] in lexicographic order
-    of ascending tuples, for R = ``mirror`` (bit F - x for x in A) and ``full`` =
-    2^(F+1) - 1: x counts itself and 2^(F-y) sets per y skipped before it."""
-    return (mirror.bit_count() - mirror - (mirror & -mirror)) & full
-
-
 def oversemigroups_with_multiplicity(s: NumericalSemigroup, m: int) -> list[NumericalSemigroup]:
     """Every semigroup containing s with multiplicity m = multiplicity(s), else
-    UnsupportedMultiplicity: s first, then in lexicographic order of the gaps
-    of s they adjoin.  A walk down the tree of numerical semigroups (Fromentin
-    & Hivert, Math. Comp. 85, 2016): each U but the root {0} ∪ [m, oo) has
+    UnsupportedMultiplicity: in lexicographic order of their gap tuples, so the
+    root {0} ∪ [m, oo) first.  A walk down the tree of numerical semigroups
+    (Fromentin & Hivert, Math. Comp. 85, 2016): each U but the root has
     F(U) > m and the parent U ∪ {F(U)}, so V has the children V - {g} for its
-    minimal generators g > F(V) that are gaps of s.  There h = g + m enters the
-    Apéry set, and is a new minimal generator iff h - x is a gap for each other
-    minimal generator x: for x > g, h - x < m; h - m = g is removed; and for
-    m < x < g the class of g - x is neither 0 nor g's, so V's Apéry set decides."""
+    minimal generators g > F(V) that are gaps of s.  A child's gaps are V's and
+    then g, above all of them, so listing V before its children, taken by
+    ascending g, is that order.  There h = g + m enters the Apéry set, and is
+    a new minimal generator iff h - x is a gap for each other minimal generator
+    x: for x > g, h - x < m; h - m = g is removed; and for m < x < g the class
+    of g - x is neither 0 nor g's, so V's Apéry set decides."""
     _require_multiplicity(s, m)
-    frob, ap, full = s.frobenius, s.apery, (1 << s.frobenius + 1) - 1
-    gaps = bytearray(b"0" * (m + 1) + b"1" * (frob - m))  # gaps[x] is "1" iff x > m is a gap of s
-    for a in ap:
-        gaps[a::m] = b"0" * len(range(a, len(gaps), m))
-    gens = tuple(range(m, 2 * m))
-    stack, ranked = [(gens, (0, *gens[1:]), [g for g in gens if g < ap[g % m]], int(gaps, 2))], {}
+    ap, gens = s.apery, tuple(range(m, 2 * m))
+    stack, found = [(gens, (0, *gens[1:]), [g for g in gens if g < ap[g % m]])], []
     while stack:
-        gens, apery, kids, mirror = stack.pop()  # mirror: bit F - x for each gap x of s in V
-        ranked[_preorder_rank(mirror, full)] = NumericalSemigroup(gens, apery)
-        for i, g in enumerate(kids):
+        gens, apery, kids = stack.pop()
+        found.append(NumericalSemigroup(gens, apery))
+        for i in range(len(kids) - 1, -1, -1):  # pushed by descending g, popped by ascending
+            g = kids[i]
             h, r, j = g + m, g % m, gens.index(g)
             child_gens, child_kids = gens[:j] + gens[j + 1 :], kids[i + 1 :]
             for x in gens[1:j]:
@@ -192,8 +187,8 @@ def oversemigroups_with_multiplicity(s: NumericalSemigroup, m: int) -> list[Nume
             else:  # h is a new minimal generator, and a kid if a gap of s
                 child_gens, child_kids = child_gens + (h,), child_kids + [h] * (h < ap[r])
             child_apery = apery[:r] + (h,) + apery[r + 1 :]
-            stack.append((child_gens, child_apery, child_kids, mirror ^ 1 << frob - g))
-    return [ranked[rank] for rank in sorted(ranked)]
+            stack.append((child_gens, child_apery, child_kids))
+    return found
 
 
 def _largest_odd_gap(s: NumericalSemigroup) -> int:
