@@ -51,7 +51,8 @@ class ExponentPair:
         object.__setattr__(self, "a", tuple(self.a))
         object.__setattr__(self, "b", tuple(self.b))
         for t in (self.a, self.b):
-            if len(t) != 3 or any(not isinstance(v, int) or v < 1 for v in t):
+            # bools are refused as in from_generators; False already fails v < 1
+            if len(t) != 3 or any(not isinstance(v, int) or v < 1 or v is True for v in t):
                 raise InvalidGenerator(f"exponent triple {t!r} must have 3 positive entries")
 
     @property
@@ -72,7 +73,7 @@ class Binomial:
             raise InvalidGenerator("exponent vectors must have equal length")
         if self.plus == self.minus:
             raise InvalidGenerator("the two monomials of a binomial must differ")
-        if any(e < 0 for e in self.plus + self.minus):
+        if min(self.plus + self.minus) < 0:
             raise InvalidGenerator("exponents must be nonnegative")
 
     def render(self, variables: tuple[str, ...]) -> str:

@@ -95,22 +95,55 @@ class TraitReport:
     almost_symmetric: bool
 
 
+#: Shortest leading run that _apery_round_robin adjoins by the window fill.
+#: Timed on <m, 2m - L, ..., 2m - 1> for m = 8..1000 (2-vCPU Xeon guest,
+#: Python 3.11): the fill ran 0.9-2.1x as fast as the round robin at
+#: L = 6 and at least 1.3x from L = 7 on, but 0.7-0.8x at L = 5 once
+#: m >= 200 and 3-10x slower at L = 2.
+_RUN_FILL_MIN = 6
+
+
 def _apery_round_robin(gens: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Apéry set of <gens> with respect to ``gens[0]``, and the generators
     that were not already in the semigroup of those before them.
 
     Round-robin algorithm of Böcker & Lipták (Algorithmica 48, 2007): each
     new generator g walks every cycle r -> r+g (mod m) of the residue table
-    once, starting from the cycle's least entry.  One pass, O(m * len(gens)).
+    once, starting from the cycle's least entry, O(m) per kept generator.
     A generator with g >= dist[g mod m] already lies in the semigroup of the
-    earlier ones and is skipped, so for sorted input the kept generators are
-    the minimal system.
+    earlier ones and is skipped in O(1), so for sorted input the kept
+    generators are the minimal system.
+
+    A leading run gens[1..L] = a..b of at least _RUN_FILL_MIN consecutive
+    integers is adjoined at once (cf. García-Sánchez & Rosales, Pacific J.
+    Math. 191, 1999, on semigroups generated by intervals), in O(m + m/(L-1))
+    steps.  The sums of j run elements are exactly the window
+    [j*a, j*a + j*(L-1)], and each class takes the first value met, scanning
+    j = 1, 2, ... and each window upwards.  That first hit y is the least
+    member of <m, a..b> in its class: no earlier window meets the class, a
+    multiple of m added only raises a sum, and a smaller later sum would be at
+    most y - m, which lies below that later window's start (j+1)*a because a
+    first hit is among the m lowest values of its window, y < j*a + m.  The
+    scan stops after the first window that spans m classes, so every class is
+    set once.  A run element g is kept iff g < 2a and dist[g mod m] == g:
+    otherwise g is a sum of two run elements, or g - m is a member.  None of
+    this needs a < m or a sorted list.
     """
     m = gens[0]
     dist: list[int | float] = [_INF] * m
     dist[0] = 0
     kept = [m]
-    for g in gens[1:]:
+    rest = gens[1:]
+    if len(gens) > _RUN_FILL_MIN and gens[_RUN_FILL_MIN] - gens[1] == _RUN_FILL_MIN - 1:
+        a, run = gens[1], 1
+        while run + 1 < len(gens) and gens[run + 1] == a + run:
+            run += 1
+        if run >= _RUN_FILL_MIN:
+            b = a + run - 1
+            _fill_run(dist, m, a, b)
+            kept += [g for g in range(a, min(b, 2 * a - 1) + 1) if dist[g % m] == g]
+            rest = gens[run + 1 :]
+    for g in rest:
         if g >= dist[g % m]:
             continue
         kept.append(g)
@@ -127,6 +160,29 @@ def _apery_round_robin(gens: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[in
                 else:
                     dist[r] = n
     return tuple(dist), tuple(kept)  # gcd 1: every class is reached, every entry an int
+
+
+def _fill_run(dist: list[int | float], m: int, a: int, b: int) -> None:
+    """Set every class of ``dist`` to its least sum of elements of a..b (see
+    _apery_round_robin); ``dist`` holds only its 0 entry on entry."""
+    unset = bytearray(b"\x01") * m
+    unset[0] = 0
+    lo, width = a, b - a
+    while True:
+        span = min(width + 1, m)
+        r0 = lo % m
+        end = r0 + span
+        # The window's classes are r0 .. end - 1, wrapping past m - 1.
+        for start, stop, base in ((r0, min(end, m), lo - r0), (0, max(end - m, 0), lo - r0 + m)):
+            r = unset.find(1, start, stop)
+            while r >= 0:
+                dist[r] = base + r
+                unset[r] = 0
+                r = unset.find(1, r + 1, stop)
+        if span == m:
+            return
+        lo += a
+        width += b - a
 
 
 def from_generators(

@@ -20,6 +20,7 @@ from hnlab import (
     NotImplementedRange,
     TheoremOutcome,
     build,
+    from_generators,
     normalize,
     solve_exponents,
     theorem_verdict,
@@ -99,6 +100,15 @@ def test_exponent_pair_validation():
         ExponentPair((1, 1), (1, 1, 1))
     with pytest.raises(InvalidGenerator):
         ExponentPair((1, 0, 1), (1, 1, 1))
+
+
+def test_exponent_pair_rejects_bool_entries():
+    # as from_generators does: True is an int, but not an exponent
+    for a, b in (((True, 1, 1), (1, 1, 1)), ((1, 1, 1), (2, 1, False))):
+        with pytest.raises(InvalidGenerator, match="must have 3 positive entries"):
+            ExponentPair(a, b)
+    with pytest.raises(InvalidGenerator):
+        from_generators([True, 2])
 
 
 def test_multiplier_formulas_agree_exhaustively():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 from math import gcd
 
@@ -23,6 +24,7 @@ from hnlab import (
     pseudo_frobenius,
     traits,
 )
+from hnlab.semigroup import _apery_round_robin
 
 # ── independent oracles ──────────────────────────────────────────────────────
 
@@ -52,6 +54,27 @@ def oracle_apery(gens: list[int], n: int) -> list[int]:
     bound = (max(gaps) if gaps else 0) + 2 * n + 1
     members = dp_members(gens, bound)
     return [min(x for x in members if x % n == r) for r in range(n)]
+
+def round_robin_oracle(gens: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Apéry set of <gens> mod gens[0], and the generators outside the
+    semigroup of those before them, adjoined one at a time: each generator
+    relaxes every cycle r -> r + g (mod m) twice round, which carries the
+    cycle's least entry to every class of the cycle."""
+    m = gens[0]
+    dist: list[int | None] = [0] + [None] * (m - 1)
+    kept = [m]
+    for g in gens[1:]:
+        if dist[g % m] is not None and dist[g % m] <= g:
+            continue
+        kept.append(g)
+        d = gcd(g, m)
+        for r in range(d):
+            for _ in range(2 * m // d):
+                nxt = (r + g) % m
+                if dist[r] is not None and (dist[nxt] is None or dist[r] + g < dist[nxt]):
+                    dist[nxt] = dist[r] + g
+                r = nxt
+    return tuple(dist), tuple(kept)
 
 def reflection_symmetric(gens: list[int]) -> bool:
     gaps = oracle_gaps(gens)
@@ -135,6 +158,67 @@ def test_apery_against_oracle_on_members():
         # generators, and members that are not generators
         for n in (*gens, 2 * m, m + s.minimal_gens[1], s.frobenius + 1):
             assert list(apery_set(s, n)) == oracle_apery(gens, n)
+
+# Lists whose leading run (after the first generator) is 5, 6, 7 or more
+# consecutive integers: the run holds 2a, or multiples of m, or both, and
+# some lists go on after it.
+RUN_LISTS = [
+    [11, 13, 14, 15, 16, 17],
+    [11, *range(13, 18), 30],
+    [10, *range(11, 17)],
+    [13, *range(20, 26), 31],
+    [9, *range(10, 17), 40],
+    [3, *range(4, 13)],
+    [5, *range(6, 14)],
+    [7, *range(10, 22)],
+    [7, *range(10, 22), 41],
+    [37, *range(40, 47), 50, 61, 99],
+    [23, *range(24, 60)],
+    [61, *range(90, 100), 101, 151],
+    [199, *range(210, 241), 251, 307],
+    [200, *range(201, 261), 397],
+]
+
+def test_leading_runs_match_the_dp_oracle():
+    for gens in RUN_LISTS:
+        s = from_generators(gens)
+        m = s.multiplicity
+        assert list(s.apery) == oracle_apery(gens, m), gens
+        assert s.minimal_gens == tuple(
+            g for i, g in enumerate(gens) if g not in dp_members(gens[:i], g)
+        ), gens
+        assert from_generators(list(s.minimal_gens)) == s
+
+def test_apery_set_at_and_after_a_leading_run():
+    # minimal systems that start with a run of 6 or more, for n at the
+    # run's first element (no member is lower), inside it and above it
+    for gens in ([20, *range(21, 28), 39], [9, *range(10, 17)], [31, *range(32, 52), 60]):
+        s = from_generators(gens)
+        a, b = gens[0], gens[-2]
+        for n in (a, a + 2, b, b + 1, 2 * a + 1, 3 * b, s.frobenius + 1):
+            if s.contains(n):
+                assert list(apery_set(s, n)) == oracle_apery(gens, n), (gens, n)
+
+def test_leading_runs_match_the_round_robin_oracle():
+    # (n, a..b, rest) for n below, inside and above the run, as apery_set
+    # and from_generators pass them, and lists no caller passes (a run with
+    # 2a in it behind a larger n), where the kept list must still agree
+    rng = random.Random(32)
+    for _ in range(300):
+        a = rng.randint(1, 60)
+        b = a + rng.randint(4, 30)
+        n = rng.choice([rng.randint(1, a), rng.randint(a, b), rng.randint(b, 3 * b)])
+        rest = sorted(rng.sample(range(b + 2, 2 * b + 40), rng.randint(0, 3)))
+        gens = (n, *range(a, b + 1), *rest)
+        assert _apery_round_robin(gens) == round_robin_oracle(gens), gens
+
+def test_the_analyze_shapes_match_the_round_robin_oracle():
+    # (m, 2m - k, ..., 2m - 1): the many-generator `sgp analyze` inputs
+    for m in (200, 400, 600, 800, 1000):
+        for k in (20, 40, 60):
+            gens = (m, *range(2 * m - k, 2 * m))
+            s = from_generators(gens)
+            assert (s.apery, s.minimal_gens) == round_robin_oracle(gens), (m, k)
 
 def test_apery_definitional_invariants_on_population():
     for gens in POPULATION[:500]:
