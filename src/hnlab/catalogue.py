@@ -42,7 +42,7 @@ class WeightAssignment:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "weights", tuple(self.weights))
-        if any(not isinstance(w, int) or w < 1 for w in self.weights):
+        if any(not isinstance(w, int) or isinstance(w, bool) or w < 1 for w in self.weights):
             raise DomainError(f"weights must be positive integers, got {self.weights}")
 
 

@@ -35,16 +35,16 @@ m2 and m1 + m2 lie in I: one odd sum for odd m1, while I holds at least
 two odd numbers, and two for even m1, while it holds at least three.
 The triples of that box whose five sums hold every odd number of I
 (``_census_leftover``) are the same at every bound, exactly DELTA.  The
-witness families of m1 ({0} and runs linear in m1, checked by sums of
-runs) and the cover witness pass one check of symmetry,
-``_is_symmetric_mask``.
+witness families of m1 ({0} and runs linear in m1) are built as the cover
+witness is: a mask, one check of symmetry (``_is_symmetric_mask``) and
+one of closure (``_semigroup_from_mask``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from math import gcd
 
 from .errors import DomainError, InvariantViolation, UnsupportedMultiplicity
@@ -55,23 +55,6 @@ DELTA: tuple[tuple[int, int, int], ...] = ((3, 4, 5), (3, 5, 7), (4, 5, 7), (4, 
 #: The largest census bound: the count takes O(bound log bound) floor sums,
 #: the only work that grows with the bound.
 CENSUS_MAX_BOUND = 2000
-
-Form = tuple[int, int]  # (slope, offset): the integer slope·m1 + offset
-
-#: The witness families of m1 as runs [a, b] (the run [0, 0] among them)
-#: and Frobenius number F, every endpoint a linear form in m1.  All four
-#: are symmetric of multiplicity m1 for m1 >= 4, the first two for m1 = 3.
-_FAMILY_RUNS: tuple[tuple[tuple[tuple[Form, Form], ...], Form], ...] = (
-    # {0} ∪ [m1, 2m1 - 2], F = 2m1 - 1
-    ((((0, 0), (0, 0)), ((1, 0), (2, -2))), (2, -1)),
-    # {0, m1} ∪ [m1 + 2, 2m1], F = 2m1 + 1
-    ((((0, 0), (0, 0)), ((1, 0), (1, 0)), ((1, 2), (2, 0))), (2, 1)),
-    # {0, m1} ∪ [2m1 - 1, 3m1 - 4] ∪ [3m1 - 2, 4m1 - 4], F = 4m1 - 3
-    ((((0, 0), (0, 0)), ((1, 0), (1, 0)), ((2, -1), (3, -4)), ((3, -2), (4, -4))), (4, -3)),
-    # {0} ∪ [m1, m1 + 1] ∪ [m1 + 4, 2m1 + 2], F = 2m1 + 3
-    ((((0, 0), (0, 0)), ((1, 0), (1, 1)), ((1, 4), (2, 2))), (2, 3)),
-)
-
 
 @dataclass(frozen=True)
 class CoverQuery:
@@ -360,50 +343,41 @@ def verify_delta(bound: int, jobs: int = 1) -> DeltaReport:
 
 
 def _is_symmetric_mask(mask: int, m: int, frob: int) -> bool:
-    """Whether the closed set with members ``mask`` over [0, frob] and all
-    above frob is symmetric of multiplicity m and Frobenius number frob:
-    its members up to m are {0, m}, frob is a gap and (frob + 1) / 2
+    """Whether the set with members ``mask`` over [0, frob] and all above
+    frob, if closed, is symmetric of multiplicity m and Frobenius number
+    frob: its members up to m are {0, m}, frob is a gap and (frob + 1) / 2
     members lie below it.  Needs frob >= 0."""
     low = (mask | -(2 << frob)) & (2 << m) - 1  # the members up to m
     return low == 1 | 1 << m and not mask >> frob & 1 and 2 * mask.bit_count() == frob + 1
 
 
-def _symmetric_mask(runs: list[tuple[int, int]], m1: int, frob: int) -> int:
-    """Membership mask over [0, frob] of the runs [a, b] in ``runs`` and all
-    above frob.  Raises InvariantViolation unless the set is closed (two
-    runs sum to the run [a + c, b + d], so the check is exact) and is
-    symmetric of multiplicity m1 and Frobenius number frob."""
-    mask = sums = 0
+def _family_runs(m1: int) -> tuple[tuple[tuple[tuple[int, int], ...], int], ...]:
+    """Each witness family of m1 as its runs [a, b] of members up to F, and F."""
+    return (
+        (((0, 0), (m1, 2 * m1 - 2)), 2 * m1 - 1),
+        (((0, 0), (m1, m1), (m1 + 2, 2 * m1)), 2 * m1 + 1),
+        (((0, 0), (m1, m1), (2 * m1 - 1, 3 * m1 - 4), (3 * m1 - 2, 4 * m1 - 4)), 4 * m1 - 3),
+        (((0, 0), (m1, m1 + 1), (m1 + 4, 2 * m1 + 2)), 2 * m1 + 3),
+    )
+
+
+def _family_from_runs(runs: tuple[tuple[int, int], ...], m1: int, frob: int) -> NumericalSemigroup:
+    """The semigroup with members the runs [a, b] up to frob and all above
+    it, built as the cover witness is: InvariantViolation unless that set
+    is symmetric of multiplicity m1 and Frobenius number frob, and closed."""
+    mask = 0
     for a, b in runs:
         mask |= (2 << b) - (1 << a) & (2 << frob) - 1
-    for (a, b), (c, d) in combinations_with_replacement(runs, 2):
-        if a + c <= frob:
-            sums |= (2 << min(b + d, frob)) - (1 << a + c)
-    if sums & ~mask or not _is_symmetric_mask(mask, m1, frob):
+    if not _is_symmetric_mask(mask, m1, frob):
         raise InvariantViolation(f"runs {runs} are not symmetric of multiplicity {m1}, F = {frob}")
-    return mask
-
-
-def _family_masks(m1: int) -> list[tuple[int, int]]:
-    """Membership mask over [0, F] and Frobenius number F of each witness
-    family of m1 >= 3: ``_FAMILY_RUNS`` at m1, checked by
-    ``_symmetric_mask``.  All four for m1 >= 4, the first two for m1 = 3,
-    where the last two formulas are not closed (3 + 3 = 6 is missing)."""
-    masks = []
-    for runs, (slope, offset) in _FAMILY_RUNS[: 2 if m1 == 3 else 4]:
-        frob = slope * m1 + offset
-        ends = [(a * m1 + b, c * m1 + d) for (a, b), (c, d) in runs]
-        masks.append((_symmetric_mask(ends, m1, frob), frob))
-    return masks
+    return _semigroup_from_mask(mask, frob, m1)
 
 
 def witness_families(m1: int) -> list[NumericalSemigroup]:
-    """The four symmetric families of multiplicity m1 >= 5, one of which
-    contains each embedding-dimension-3 triple of that multiplicity: runs,
-    not generators, checked by run sums to be symmetric with Frobenius
-    number 2*m1 - 1, 2*m1 + 1, 4*m1 - 3 and 2*m1 + 3.  The census does
-    not use them: the odd-count lemma (module docstring) leaves it no
-    triple of multiplicity m1 >= 5 to decide."""
+    """The four symmetric families of multiplicity m1 >= 5, F = 2*m1 - 1,
+    2*m1 + 1, 4*m1 - 3 and 2*m1 + 3, one holding each embedding-dimension-3
+    triple of that multiplicity.  The census does not use them: the odd-count
+    lemma (module docstring) leaves it no such triple with m1 >= 5 to decide."""
     if m1 < 5:
         raise DomainError(f"witness families are defined for multiplicity >= 5, got {m1}")
-    return [_semigroup_from_mask(mask, frob, m1) for mask, frob in _family_masks(m1)]
+    return [_family_from_runs(runs, m1, frob) for runs, frob in _family_runs(m1)]

@@ -15,6 +15,7 @@ irreducible with type 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from typing import Iterable
 
@@ -49,11 +50,11 @@ class NumericalSemigroup:
     def embedding_dimension(self) -> int:
         return len(self.minimal_gens)
 
-    @property
+    @cached_property
     def frobenius(self) -> int:
         return max(self.apery) - self.multiplicity
 
-    @property
+    @cached_property
     def genus(self) -> int:
         # apery[r] // m counts the gaps in residue class r.
         m = self.multiplicity

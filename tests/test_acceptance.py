@@ -12,6 +12,8 @@ from contextlib import contextmanager
 from itertools import combinations, product
 from math import gcd
 
+from oracles import oracle_oversemigroups
+
 from hnlab import (
     DELTA,
     ExponentPair,
@@ -147,20 +149,6 @@ def _gap_population():
                 yield gens
 
 
-def _oracle_oversemigroups(base) -> set[frozenset[int]]:
-    p = profile(base)
-    frob, mult = p.frobenius, base.multiplicity
-    base_members = {x for x in range(frob + 1) if base.contains(x)}
-    window = [g for g in p.gaps if g >= mult]
-    found = set()
-    for k in range(len(window) + 1):
-        for combo in combinations(window, k):
-            members = base_members | set(combo)
-            if all(u + v in members or u + v > frob for u in members for v in members if u and v):
-                found.add(frozenset(members))
-    return found
-
-
 def test_criterion_7_property_suites():
     with criterion(7, "property suites (i)-(iv): exhaustive, zero failures (< 5 min)"):
         started = time.perf_counter()
@@ -190,7 +178,7 @@ def test_criterion_7_property_suites():
                 frozenset(x for x in range(base.frobenius + 1) if u.contains(x))
                 for u in oversemigroups_with_multiplicity(base, base.multiplicity)
             }
-            assert got == _oracle_oversemigroups(base), gens
+            assert got == oracle_oversemigroups(base), gens
             checked += 1
         assert checked > 60
 

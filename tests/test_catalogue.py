@@ -172,6 +172,14 @@ def test_binomial_weight_dimension_mismatch():
         WeightAssignment((1, 0, 2))
 
 
+def test_weight_assignment_rejects_bool_weights():
+    # bools are refused as in from_generators and ExponentPair, True as well as False
+    for weights in ((True, 1, 2, 3), (1, False, 2), (2, 3, True)):
+        with pytest.raises(DomainError):
+            WeightAssignment(weights)
+    assert WeightAssignment([1, 2, 3]).weights == (1, 2, 3)
+
+
 def test_generators_vanish_under_their_own_multipliers():
     for a in product(range(1, 5), repeat=3):
         for b in product(range(1, 5), repeat=3):

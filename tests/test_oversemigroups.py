@@ -15,6 +15,7 @@ from typing import Iterable, Iterator
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracles import family_masks, family_runs, oracle_oversemigroups
 from test_semigroup import POPULATION
 
 from hnlab import (
@@ -37,44 +38,15 @@ from hnlab import oversemigroups
 from hnlab.cli import main
 from hnlab.oversemigroups import (
     CENSUS_MAX_BOUND,
-    _FAMILY_RUNS,
     _census_count,
     _census_leftover,
     _dimension_3_triples,
-    _family_masks,
+    _family_from_runs,
     _floor_sum,
     _semigroup_from_mask,
     _squarefree_divisors,
-    _symmetric_mask,
 )
 from hnlab.semigroup import NumericalSemigroup
-
-# ── subset oracle ────────────────────────────────────────────────────────────
-
-
-def oracle_oversemigroups(gens: list[int]) -> set[frozenset[int]]:
-    """Enumerate every subset of the adjoinable gaps, keep the additively
-    closed ones; a semigroup is identified by its members in [0, F(base)]."""
-    base = from_generators(gens)
-    p = profile(base)
-    frob, mult = p.frobenius, base.multiplicity
-    base_members = {x for x in range(frob + 1) if base.contains(x)}
-    window = [g for g in p.gaps if g >= mult]
-    assert len(window) <= 18, "oracle population must stay tiny"
-    found = set()
-    for k in range(len(window) + 1):
-        for combo in combinations(window, k):
-            members = base_members | set(combo)
-            closed = all(
-                u + v in members or u + v > frob
-                for u in members
-                for v in members
-                if u and v
-            )
-            if closed:
-                found.add(frozenset(members))
-    return found
-
 
 def members_upto_frobenius(s, frob: int) -> frozenset[int]:
     return frozenset(x for x in range(frob + 1) if s.contains(x))
@@ -171,7 +143,7 @@ def test_enumeration_matches_subset_oracle():
             for u in oversemigroups_with_multiplicity(base, base.multiplicity)
         ]
         expected = sorted(
-            oracle_oversemigroups(gens),
+            oracle_oversemigroups(base),
             key=lambda u: tuple(x for x in range(frob + 1) if x not in u),
         )
         assert got == expected, gens
@@ -225,10 +197,16 @@ def test_semigroup_from_mask_matches_the_pairwise_oracle():
             assert _semigroup_from_mask(mask, frob, m) == expected, (base, mask)
             listed.append(expected)
         assert oversemigroups_with_multiplicity(base, m) == listed, base
+    # the witness families on the one path: their masks from the test's own
+    # run table, rebuilt alike, and witness_families the same semigroups
     for m1 in range(3, 301):
-        for mask, frob in _family_masks(m1):
+        families = []
+        for mask, frob in family_masks(m1):
             expected = semigroup_from_mask_by_comparison(mask, frob, m1)
             assert _semigroup_from_mask(mask, frob, m1) == expected, (m1, frob)
+            families.append(expected)
+        if m1 >= 5:
+            assert witness_families(m1) == families, m1
 
 
 @pytest.mark.parametrize(
@@ -488,7 +466,7 @@ def mask_census(bound: int) -> DeltaReport:
     examined = searched = 0
     flagged = []
     for m1 in range(3, bound - 1):
-        family_gaps = [(2 << frob) - 1 ^ mask for mask, frob in _family_masks(m1)]
+        family_gaps = [(2 << frob) - 1 ^ mask for mask, frob in family_masks(m1)]
         for m2, third in third_entries(m1, bound):
             examined += third.bit_count()
             for gaps in family_gaps:
@@ -550,8 +528,8 @@ def paper_families(m1: int) -> list[NumericalSemigroup]:
 
 
 def mask_families(m1: int) -> list[NumericalSemigroup]:
-    """The families the census cuts by, as semigroups."""
-    return [_semigroup_from_mask(mask, frob, m1) for mask, frob in _family_masks(m1)]
+    """The families of the test's run table, as semigroups."""
+    return [semigroup_from_mask_by_comparison(mask, frob, m1) for mask, frob in family_masks(m1)]
 
 
 def streaming_census(bound: int) -> DeltaReport:
@@ -882,7 +860,8 @@ def test_witness_families_match_the_generated_semigroups():
 
 
 def test_family_builder_checks_symmetry_and_frobenius():
-    assert _symmetric_mask([(0, 0), (5, 8)], 5, 9) == int("0111100001", 2)
+    s = _family_from_runs([(0, 0), (5, 8)], 5, 9)
+    assert members_upto_frobenius(s, 9) == {0, 5, 6, 7, 8} and s.minimal_gens == (5, 6, 7, 8)
     for runs, m1, frob in (
         ([(0, 0), (5, 7)], 5, 9),  # <5, 6, 7>: Frobenius 9 but 4 members below it, not symmetric
         ([(0, 0), (5, 8), (10, 11)], 5, 11),  # <5, 6, 7, 8>: 11 is a member, F is 9
@@ -892,8 +871,9 @@ def test_family_builder_checks_symmetry_and_frobenius():
         ([(0, 0), (3, 3), (5, 6)], 5, 7),  # <3, 5> is symmetric, but 3 is a member below 5
     ):
         with pytest.raises(InvariantViolation):
-            _symmetric_mask(runs, m1, frob)
-    assert _symmetric_mask([(0, 0), (3, 3), (5, 6)], 3, 7) == int("01101001", 2)
+            _family_from_runs(runs, m1, frob)
+    s = _family_from_runs([(0, 0), (3, 3), (5, 6)], 3, 7)
+    assert members_upto_frobenius(s, 7) == {0, 3, 5, 6} and s.minimal_gens == (3, 5)
 
 
 def brute_force_is_symmetric(runs: list[tuple[int, int]], m1: int, frob: int) -> bool:
@@ -939,12 +919,14 @@ def run_lists(draw) -> tuple[list[tuple[int, int]], int, int]:
 def test_symmetric_mask_matches_the_set_oracle(case):
     runs, m1, frob = case
     try:
-        mask = _symmetric_mask(runs, m1, frob)
+        s = _family_from_runs(runs, m1, frob)
     except InvariantViolation:
         assert not brute_force_is_symmetric(runs, m1, frob)
     else:
         assert brute_force_is_symmetric(runs, m1, frob)
-        assert mask == sum(1 << x for x in range(frob + 1) if any(a <= x <= b for a, b in runs))
+        assert (s.multiplicity, s.frobenius) == (m1, frob)
+        expected = {x for x in range(frob + 1) if any(a <= x <= b for a, b in runs)}
+        assert members_upto_frobenius(s, frob) == expected
 
 
 def test_symmetric_mask_accepts_exactly_the_symmetric_semigroups():
@@ -953,18 +935,17 @@ def test_symmetric_mask_accepts_exactly_the_symmetric_semigroups():
         runs, m1, frob = runs_of(s), s.multiplicity, s.frobenius
         assert brute_force_is_symmetric(runs, m1, frob) == is_symmetric(s), s
         try:
-            _symmetric_mask(runs, m1, frob)
+            built = _family_from_runs(runs, m1, frob)
         except InvariantViolation:
             assert not is_symmetric(s), s
         else:
-            assert is_symmetric(s), s
+            assert is_symmetric(s) and built == s, s
 
 
 def test_family_gaps_above_m1_are_linear_and_disjoint():
     for m1 in range(5, 301):
         gaps = [
-            {x for x in range(m1 + 1, frob + 1) if not mask >> x & 1}
-            for mask, frob in _family_masks(m1)
+            {x for x in range(m1 + 1, s.frobenius + 1) if x not in s} for s in witness_families(m1)
         ]
         assert gaps[0] == {2 * m1 - 1}, m1
         assert gaps[1] == {m1 + 1, 2 * m1 + 1}, m1
@@ -977,20 +958,20 @@ def test_family_gaps_above_m1_are_linear_and_disjoint():
 
 def family_sets(m1: int) -> list[tuple[set[int], int]]:
     """The members up to F and F of each witness family of m1, read off the
-    run table as plain sets."""
-    return [
-        ({x for (a, b), (c, d) in runs for x in range(a * m1 + b, c * m1 + d + 1)}, s * m1 + o)
-        for runs, (s, o) in _FAMILY_RUNS[: 2 if m1 == 3 else 4]
-    ]
+    test's run table as plain sets."""
+    return [({x for a, b in runs for x in range(a, b + 1)}, f) for runs, f in family_runs(m1)]
 
 
 def test_families_match_the_set_oracle_past_k0():
+    # the test's run table as plain sets, and witness_families built from it
     for m1 in range(3, 66):
-        masks = _family_masks(m1)
+        masks = family_masks(m1)
         assert len(masks) == (2 if m1 == 3 else 4), m1
-        for (mask, frob), (members, f) in zip(masks, family_sets(m1)):
+        built = witness_families(m1) if m1 >= 5 else [None] * 4
+        for (mask, frob), (members, f), s in zip(masks, family_sets(m1), built):
             assert frob == f > m1 and max(members) < f, m1
             assert mask == sum(1 << x for x in members), m1
+            assert s is None or (members_upto_frobenius(s, f), s.frobenius) == (members, f), m1
             assert {x + y for x in members for y in members if x + y <= f} <= members, m1
             assert {x for x in members if x <= m1} == {0, m1}, m1
             assert all((x in members) != (f - x in members) for x in range(f + 1)), m1
@@ -1000,7 +981,7 @@ def test_families_hold_every_pair_up_to_4m1_past_k0():
     # the per-pair cut of mask_census over every pair m2 < m3 <= 4·m1
     for m1 in range(5, 66):
         bound = 4 * m1
-        family_gaps = [(2 << frob) - 1 ^ mask for mask, frob in _family_masks(m1)]
+        family_gaps = [(2 << frob) - 1 ^ mask for mask, frob in family_masks(m1)]
         for m2 in range(m1 + 1, bound):
             third = (2 << bound) - (2 << m2)  # (m2, bound]
             for gaps in family_gaps:
@@ -1009,26 +990,30 @@ def test_families_hold_every_pair_up_to_4m1_past_k0():
             assert third == 0, (m1, m2)
 
 
-def with_family(index: int, family) -> tuple:
-    """The run table with the family at ``index`` replaced."""
-    return tuple(family if i == index else f for i, f in enumerate(_FAMILY_RUNS))
+def with_family(index: int, family):
+    """The library's run table with the family at ``index`` replaced by
+    ``family(m1)``."""
+    table = oversemigroups._family_runs
+    return lambda m1: tuple(family(m1) if i == index else f for i, f in enumerate(table(m1)))
 
 
 PERTURBED_TABLES = {
     # family 3's middle run from 2·m1: 2·m1 - 1 a gap, too few members
     "family 3 from 2m1": with_family(
-        2, ((((0, 0), (0, 0)), ((1, 0), (1, 0)), ((2, 0), (3, -4)), ((3, -2), (4, -4))), (4, -3))
+        2, lambda m1: (((0, 0), (m1, m1), (2 * m1, 3 * m1 - 4), (3 * m1 - 2, 4 * m1 - 4)), 4 * m1 - 3)
     ),
     # family 4's F one higher: 2·m1 + 4 = m1 + (m1 + 4) is a member
-    "family 4 F + 1": with_family(3, (_FAMILY_RUNS[3][0], (2, 4))),
+    "family 4 F + 1": with_family(
+        3, lambda m1: (((0, 0), (m1, m1 + 1), (m1 + 4, 2 * m1 + 2)), 2 * m1 + 4)
+    ),
 }
 
 
 @pytest.mark.parametrize("name", PERTURBED_TABLES)
 def test_a_perturbed_run_table_fails_the_witness_families(monkeypatch, name):
-    # the run sums certify each family symmetric, on every call; the census
-    # does not read the run table
-    monkeypatch.setattr(oversemigroups, "_FAMILY_RUNS", PERTURBED_TABLES[name])
+    # each family is checked symmetric, on every call; the census does not
+    # read the run table
+    monkeypatch.setattr(oversemigroups, "_family_runs", PERTURBED_TABLES[name])
     for _ in range(2):
         with pytest.raises(InvariantViolation, match="not symmetric"):
             witness_families(5)
@@ -1133,7 +1118,7 @@ def test_a_smaller_leftover_still_leaves_the_criterion_to_decide(
 @pytest.mark.parametrize("bounds", [range(3, 61), [100], [400], [2000]])
 def test_the_census_matches_the_family_cut_at_every_m1(bounds):
     for bound in bounds:
-        searched = cut_triples(bound, _family_masks)
+        searched = cut_triples(bound, family_masks)
         flagged = tuple(t for t in searched if not has_symmetric_cover(from_generators(t)))
         report = verify_delta(bound)
         assert (report.flagged, report.triples_searched) == (flagged, len(searched)), bound
