@@ -98,14 +98,14 @@ class DeltaReport:
         return self.flagged == self.expected
 
 
-def _member_mask(s: NumericalSemigroup) -> int:
-    """Membership mask of s over [0, F(s)], filled class by class from the
-    Apéry set in O(F); 0 for <1>, whose range is empty."""
-    m, frob = s.multiplicity, s.frobenius
-    bits = bytearray(b"0" * (frob + 1))  # bits[x] is "1" iff x is a member
+def _member_mask(s: NumericalSemigroup, upto: int) -> int:
+    """Membership mask of s over [0, upto], for upto >= 0, filled class by
+    class from the Apéry set in O(upto)."""
+    m = s.multiplicity
+    bits = bytearray(b"0" * (upto + 1))  # bits[x] is "1" iff x is a member
     for a in s.apery:
-        bits[a::m] = b"1" * len(range(a, frob + 1, m))
-    return int(bits[::-1], 2) if bits else 0
+        bits[a::m] = b"1" * len(range(a, upto + 1, m))
+    return int(bits[::-1], 2)
 
 
 def _semigroup_from_mask(mask: int, upto: int, mult: int) -> NumericalSemigroup:
@@ -213,7 +213,7 @@ def symmetric_cover(q: CoverQuery) -> CoverVerdict:
         return CoverVerdict(False, None, 0)
     if f < 0:  # N = <1> has no odd gap and is its own witness
         return CoverVerdict(True, base, 0)
-    low = _member_mask(base) & ((1 << (f + 1)) - 1)
+    low = _member_mask(base, f)
     mask = _cover_mask(low, f)
     if low & ~mask or not _is_symmetric_mask(mask, m, f):  # above the base, and symmetric
         raise InvariantViolation(
