@@ -963,15 +963,18 @@ def family_sets(m1: int) -> list[tuple[set[int], int]]:
 
 
 def test_families_match_the_set_oracle_past_k0():
-    # the test's run table as plain sets, and witness_families built from it
+    # the test's run table as plain sets, and witness_families the same sets
     for m1 in range(3, 66):
         masks = family_masks(m1)
         assert len(masks) == (2 if m1 == 3 else 4), m1
-        built = witness_families(m1) if m1 >= 5 else [None] * 4
-        for (mask, frob), (members, f), s in zip(masks, family_sets(m1), built):
+        if m1 >= 5:
+            built = witness_families(m1)
+            assert [(members_upto_frobenius(s, s.frobenius), s.frobenius) for s in built] == (
+                family_sets(m1)
+            ), m1
+        for (mask, frob), (members, f) in zip(masks, family_sets(m1)):
             assert frob == f > m1 and max(members) < f, m1
             assert mask == sum(1 << x for x in members), m1
-            assert s is None or (members_upto_frobenius(s, f), s.frobenius) == (members, f), m1
             assert {x + y for x in members for y in members if x + y <= f} <= members, m1
             assert {x for x in members if x <= m1} == {0, m1}, m1
             assert all((x in members) != (f - x in members) for x in range(f + 1)), m1
@@ -1000,7 +1003,8 @@ def with_family(index: int, family):
 PERTURBED_TABLES = {
     # family 3's middle run from 2·m1: 2·m1 - 1 a gap, too few members
     "family 3 from 2m1": with_family(
-        2, lambda m1: (((0, 0), (m1, m1), (2 * m1, 3 * m1 - 4), (3 * m1 - 2, 4 * m1 - 4)), 4 * m1 - 3)
+        2,
+        lambda m1: (((0, 0), (m1, m1), (2 * m1, 3 * m1 - 4), (3 * m1 - 2, 4 * m1 - 4)), 4 * m1 - 3),
     ),
     # family 4's F one higher: 2·m1 + 4 = m1 + (m1 + 4) is a member
     "family 4 F + 1": with_family(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 from itertools import combinations
 from math import gcd
@@ -116,10 +117,15 @@ def test_construction_errors():
             from_generators([3, bad, 5])
 
 def test_from_generators_idempotent_on_population():
+    # equality, hash and a pickle round trip read the fields only, so the
+    # genus and Frobenius number cached on one side change none of them
     for gens in POPULATION:
         s = from_generators(gens)
         again = from_generators(list(s.minimal_gens))
-        assert again == s
+        gaps = profile(s).gaps
+        assert (s.genus, s.frobenius) == (len(gaps), max(gaps, default=-1))
+        assert again == s and hash(again) == hash(s)
+        assert pickle.loads(pickle.dumps(s)) == s == pickle.loads(pickle.dumps(again))
 
 def test_frobenius_cap():
     with pytest.raises(FrobeniusCapExceeded, match="Frobenius number 10199 exceeds the cap of 1000"):
