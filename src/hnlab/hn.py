@@ -127,8 +127,8 @@ class TheoremVerdict:
     possible_cases: tuple[str, ...]
 
 
-def _multipliers(e: ExponentPair) -> Triple:
-    (a1, a2, a3), (b1, b2, b3) = e.a, e.b
+def _multipliers(a: Triple, b: Triple) -> Triple:
+    (a1, a2, a3), (b1, b2, b3) = a, b
     return (
         a2 * a3 + a3 * b2 + b2 * b3,
         a1 * a3 + a1 * b3 + b1 * b3,
@@ -152,7 +152,7 @@ def build(e: ExponentPair, max_frobenius: int | None = None) -> HNIdeal:
         Binomial((0, 0, c3), (b1, a2, 0)),
     )
     det = (c2 * c3 - a2 * b3, c1 * c3 - a3 * b1, c1 * c2 - a1 * b2)
-    expanded = _multipliers(e)
+    expanded = _multipliers(e.a, e.b)
     if det != expanded:
         raise InvariantViolation(
             f"determinantal multipliers {det} disagree with expanded form {expanded}"
@@ -170,7 +170,7 @@ def normalize(e: ExponentPair) -> ExponentPair:
     """
     a, b = e.a, e.b
     while True:
-        m1, m2, m3 = _multipliers(ExponentPair(a, b))
+        m1, m2, m3 = _multipliers(a, b)
         if m1 > m2:
             a, b = (b[1], b[0], b[2]), (a[1], a[0], a[2])
         elif m2 > m3:
@@ -215,8 +215,8 @@ def solve_exponents(m: Triple) -> list[ExponentPair]:
         (a1n, a1d), (b1n, b1d), a2 = (3 * m2 - m3, 4), (m3 - m2, 2), 2
     if a1n <= 0 or a1n % a1d or b1n <= 0 or b1n % b1d:
         return []
-    pair = ExponentPair((a1n // a1d, a2, 1), (b1n // b1d, 1, 1))
-    return [pair] if _multipliers(pair) == m else []
+    a, b = (a1n // a1d, a2, 1), (b1n // b1d, 1, 1)
+    return [ExponentPair(a, b)] if _multipliers(a, b) == m else []
 
 
 def theorem_verdict(h: HNIdeal, e: int) -> TheoremVerdict:

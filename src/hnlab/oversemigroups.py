@@ -1,7 +1,8 @@
 """Symmetric covers and oversemigroups of prescribed multiplicity.
 
 The cover witness and the witness families are integer bitmasks over
-[0, F] (all above F is a member), closed and mirrored by a few shifts.
+[0, F] (all above F is a member), closed by a few shifts; one table of
+the base's members, read both ways, gives the cover its mask and mirror.
 A symmetric cover has a closed form (Rosales & Branco, Pacific J. Math.
 209, 2003): for m >= 3, some symmetric U of multiplicity m contains T
 iff T has an odd gap F' >= 2m - 1.  Symmetry sends the gap m - 1 of U
@@ -98,16 +99,6 @@ class DeltaReport:
         return self.flagged == self.expected
 
 
-def _member_mask(s: NumericalSemigroup, upto: int) -> int:
-    """Membership mask of s over [0, upto], for upto >= 0, filled class by
-    class from the Apéry set in O(upto)."""
-    m = s.multiplicity
-    bits = bytearray(b"0" * (upto + 1))  # bits[x] is "1" iff x is a member
-    for a in s.apery:
-        bits[a::m] = b"1" * len(range(a, upto + 1, m))
-    return int(bits[::-1], 2)
-
-
 def _semigroup_from_mask(mask: int, upto: int, mult: int) -> NumericalSemigroup:
     """The semigroup of multiplicity ``mult`` with members ``mask`` in
     [0, upto].  Its nonzero Apéry elements are the members in [1, upto + mult]
@@ -191,11 +182,17 @@ def has_symmetric_cover(s: NumericalSemigroup) -> bool:
     return m < 3 or _largest_odd_gap(s) >= 2 * m - 1
 
 
-def _cover_mask(low: int, f: int) -> int:
-    """Members over [0, f] of T ∪ {x in (f/2, f] : f - x not in T}, for the
-    members ``low`` of T over [0, f]."""
-    mirror = int(format(low, f"0{f + 1}b")[::-1], 2)  # bit x iff f - x is a member
-    return low | ((1 << (f + 1)) - (1 << (f // 2 + 1))) & ~mirror
+def _cover_masks(base: NumericalSemigroup, f: int) -> tuple[int, int]:
+    """The members over [0, f], for f >= 0, of the base T and of its cover
+    T ∪ {x in (f/2, f] : f - x not in T}.  One table of T's members, filled
+    class by class from the Apéry set in O(f), is read both ways: backwards
+    it is T's mask, forwards its mirror (bit x iff f - x is a member)."""
+    m = base.multiplicity
+    bits = bytearray(b"0" * (f + 1))  # bits[x] is "1" iff x is a member
+    for a in base.apery:
+        bits[a::m] = b"1" * len(range(a, f + 1, m))
+    low = int(bits[::-1], 2)
+    return low, low | ((1 << (f + 1)) - (1 << (f // 2 + 1))) & ~int(bits, 2)
 
 
 def symmetric_cover(q: CoverQuery) -> CoverVerdict:
@@ -213,8 +210,7 @@ def symmetric_cover(q: CoverQuery) -> CoverVerdict:
         return CoverVerdict(False, None, 0)
     if f < 0:  # N = <1> has no odd gap and is its own witness
         return CoverVerdict(True, base, 0)
-    low = _member_mask(base, f)
-    mask = _cover_mask(low, f)
+    low, mask = _cover_masks(base, f)
     if low & ~mask or not _is_symmetric_mask(mask, m, f):  # above the base, and symmetric
         raise InvariantViolation(
             f"the cover of {base} at F' = {f} is no symmetric set of multiplicity {m} containing it"

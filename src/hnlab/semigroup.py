@@ -134,16 +134,14 @@ def _apery_round_robin(gens: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[in
     dist: list[int | float] = [_INF] * m
     dist[0] = 0
     kept = [m]
-    rest = gens[1:]
-    if len(gens) > _RUN_FILL_MIN and gens[_RUN_FILL_MIN] - gens[1] == _RUN_FILL_MIN - 1:
-        a, run = gens[1], 1
-        while run + 1 < len(gens) and gens[run + 1] == a + run:
-            run += 1
-        if run >= _RUN_FILL_MIN:
-            b = a + run - 1
-            _fill_run(dist, m, a, b)
-            kept += [g for g in range(a, min(b, 2 * a - 1) + 1) if dist[g % m] == g]
-            rest = gens[run + 1 :]
+    rest, run = gens[1:], 1
+    while run < len(rest) and rest[run] == rest[0] + run:
+        run += 1
+    if run >= _RUN_FILL_MIN:
+        a, b = rest[0], rest[0] + run - 1
+        _fill_run(dist, m, a, b)
+        kept += [g for g in range(a, min(b, 2 * a - 1) + 1) if dist[g % m] == g]
+        rest = rest[run:]
     for g in rest:
         if g >= dist[g % m]:
             continue
@@ -225,9 +223,9 @@ def apery_set(s: NumericalSemigroup, n: int) -> tuple[int, ...]:
 
     Returns the n least elements, one per residue class mod n; the identity
     F(S) = max(apery) - n holds for every n in S.  Raises NotMember when
-    n is not in s.
+    n is not a nonzero element of s, a non-int or bool n included.
     """
-    if n < 1 or not s.contains(n):
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1 or not s.contains(n):
         raise NotMember(f"{n} is not a nonzero element of {s}")
     # n is in s, so <n, minimal_gens> = s and the skip test stays valid.
     return _apery_round_robin((n, *s.minimal_gens))[0]

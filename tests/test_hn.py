@@ -90,7 +90,7 @@ def test_non_coprime_multipliers_have_no_value_semigroup():
 
 
 def test_build_cross_checks_the_two_multiplier_forms(monkeypatch):
-    monkeypatch.setattr(hn, "_multipliers", lambda e: (3, 4, 6))
+    monkeypatch.setattr(hn, "_multipliers", lambda a, b: (3, 4, 6))
     with pytest.raises(InvariantViolation, match="disagree with expanded form"):
         build(ExponentPair((1, 1, 1), (2, 1, 1)))  # determinantal (3, 4, 5)
 

@@ -312,8 +312,14 @@ def test_a_witness_that_is_no_symmetric_cover_is_caught(monkeypatch, capsys):
         # <5,6,9> over [0, 13]: symmetric of multiplicity 5 and F = 13, but without 7
         ([5, 7, 9], lambda low, f: members(0, 5, 6, 9, 10, 11, 12)),
     )
+    build = oversemigroups._cover_masks
     for gens, construction in cases:
-        monkeypatch.setattr(oversemigroups, "_cover_mask", construction)
+
+        def bad_masks(base, f, construction=construction):
+            low = build(base, f)[0]
+            return low, construction(low, f)
+
+        monkeypatch.setattr(oversemigroups, "_cover_masks", bad_masks)
         with pytest.raises(InvariantViolation) as caught:
             symmetric_cover(CoverQuery(from_generators(gens), gens[0]))
         # the mask is rejected before a semigroup is built from it, so the

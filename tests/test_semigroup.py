@@ -156,6 +156,12 @@ def test_apery_non_member_rejected():
         apery_set(s, 2)
     with pytest.raises(NotMember):
         apery_set(s, 0)
+    # n that is no int, even when it equals a member, is no element either
+    for n in (2.5, 6.0, "6"):
+        with pytest.raises(NotMember):
+            apery_set(from_generators([3, 4]), n)
+    with pytest.raises(NotMember):
+        apery_set(from_generators([1]), True)
 
 def test_apery_against_oracle_on_members():
     for gens in ([3, 5, 7], [4, 6, 7], [2, 9], [5, 7, 9, 11]):
@@ -216,6 +222,10 @@ def test_leading_runs_match_the_round_robin_oracle():
         n = rng.choice([rng.randint(1, a), rng.randint(a, b), rng.randint(b, 3 * b)])
         rest = sorted(rng.sample(range(b + 2, 2 * b + 40), rng.randint(0, 3)))
         gens = (n, *range(a, b + 1), *rest)
+        assert _apery_round_robin(gens) == round_robin_oracle(gens), gens
+    # unsorted lists: gens[6] - gens[1] == 5 with no run; a run of 5, then
+    # a run of 6, each followed by a smaller entry
+    for gens in ((11, 20, 30, 21, 22, 23, 25), (11, 13, 14, 15, 16, 17, 12), (9, *range(30, 36), 10)):
         assert _apery_round_robin(gens) == round_robin_oracle(gens), gens
 
 def test_the_analyze_shapes_match_the_round_robin_oracle():
