@@ -76,8 +76,9 @@ def _multisets(total: int, pairs: _Pairs) -> Iterator[_Pairs]:
 
 
 @cache
-def _cases(e: int) -> tuple[CaseRecord, ...]:
-    """The labeled shapes for one e in [1, 6], built and checked once."""
+def _cases(e: int) -> tuple[tuple[CaseRecord, ...], tuple[str, ...]]:
+    """The labeled shapes for one e in [1, 6] and their labels in order,
+    built and checked once."""
     pairs = sorted(((s, l) for s in range(1, e + 1) for l in range(1, e // s + 1)), reverse=True)
     generated = set(_multisets(e, tuple(pairs)))
     table = _PAPER_CASES.get(e)
@@ -86,7 +87,7 @@ def _cases(e: int) -> tuple[CaseRecord, ...]:
         table = tuple((f"(e={e}, #{i})", comps) for i, comps in enumerate(ordered, 1))
     elif generated != {comps for _, comps in table}:
         raise InvariantViolation(f"case generator disagrees with the e={e} table")
-    return tuple(CaseRecord(e, comps, label) for label, comps in table)
+    return tuple(CaseRecord(e, comps, label) for label, comps in table), tuple(l for l, _ in table)
 
 
 def enumerate_cases(e: int) -> tuple[CaseRecord, ...]:
@@ -95,11 +96,13 @@ def enumerate_cases(e: int) -> tuple[CaseRecord, ...]:
     For e <= 3 the labels and order are the classical (a), (b.1)-(b.3),
     (c.1)-(c.5).  For e in [4, 6] the enumeration is mechanical and the
     labels are systematic, "(e=4, #1)" and so on.  Built and checked once
-    per e: every call returns the same tuple of frozen records.
+    per e: every call returns the same tuple of frozen records.  An e that
+    is not an int, or is a bool, raises DomainError: True would share the
+    cache slot of 1.
     """
-    if not 1 <= e <= 6:
-        raise DomainError(f"case enumeration covers e in [1, 6], got {e}")
-    return _cases(e)
+    if not isinstance(e, int) or isinstance(e, bool) or not 1 <= e <= 6:
+        raise DomainError(f"case enumeration covers e in [1, 6], got {e!r}")
+    return _cases(e)[0]
 
 
 def check_consistency(r: CaseRecord, m1: int) -> ConsistencyReport:

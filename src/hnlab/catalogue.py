@@ -188,7 +188,10 @@ def verify_example(spec: ExampleSpec) -> ExampleReport:
     same assignment.  Pure W-powers are recorded and skipped.  The predicted
     shape must be a record of ``enumerate_cases(n)``, and the gcd tuple coprime.
     """
-    generators = _ideal_generators_for(spec.m)
+    generators = [
+        (f"generator {name}: {g.render(_VARIABLES)}", g)
+        for name, g in zip(_GENERATOR_NAMES, _ideal_generators_for(spec.m))
+    ]
     checks: list[WeightCheck] = []
     for i, factor in enumerate(spec.factors, 1):
         name = f"factor {i}: {factor.render()}"
@@ -205,10 +208,10 @@ def verify_example(spec: ExampleSpec) -> ExampleReport:
                 f"monomial weights {degrees}",
             )
         )
-        for gen_name, g in zip(_GENERATOR_NAMES, generators):
+        for subject, g in generators:
             checks.append(
                 WeightCheck(
-                    f"factor {i} generator {gen_name}: {g.render(_VARIABLES)}",
+                    f"factor {i} {subject}",
                     w.weights,
                     binomial_weight_vanishes(w, g),
                     "generator homogeneity",

@@ -16,8 +16,42 @@ as a cross-checked invariant:
     m2 = c1*c3 - a3*b1 = a1*a3 + a1*b3 + b1*b3
     m3 = c1*c2 - a1*b2 = a1*a2 + a2*b1 + b1*b2
 
-When gcd(m) = 1 the value semigroup <m1, m2, m3> is attached.  Each mi is
-at least 3, so the multiplicity of the value semigroup is min(m).
+When gcd(m) = 1 the value semigroup S = <m1, m2, m3> is attached.  Each mi
+is at least 3, so the multiplicity of S is n = min(m).  The matrix already
+gives S (Herzog, Manuscripta Math. 3, 1970; Rosales & García-Sánchez,
+Numerical Semigroups, the chapter on embedding dimension three): take the
+variable of least weight n.  Modulo it the minors leave a monomial ideal,
+and the monomials outside it are an L-shape:
+
+    mod x: y^i z^j, i < c2, j < c3, not (i >= b2 and j >= a3);
+    mod y: x^i z^j, i < c1, j < c3, not (i >= a1 and j >= b3);
+    mod z: x^i y^j, i < c1, j < c2, not (i >= b1 and j >= a2).
+
+Their weights are the Apéry set Ap(S, n), with no normalization needed.
+Proof, for x (the other two are the same with the roles moved): let P be
+the kernel of k[x, y, z] -> k[t], x, y, z -> t^m1, t^m2, t^m3.  The minors
+are weight-homogeneous, so the ideal I they span lies in P, and (x, I) =
+(x, y^c2, z^c3, y^b2 z^a3) lies in (x, P).  The L-shape has c2*c3 - a2*b3
+= m1 monomials, so (x, I) has colength m1.  k[x, y, z]/(x, P) is
+k[S]/t^m1 k[S], whose basis is t^w for w in Ap(S, m1), so (x, P) has
+colength m1 too, and the two ideals are equal.  So the L-shape's
+monomials, a basis of k[x, y, z]/(x, P), map to a basis of k[S]/t^m1 k[S]:
+to m1 distinct t^w with w in Ap(S, m1), and their weights are all of it.
+The same holds for each variable; the least weight gives the Apéry set
+that a NumericalSemigroup keeps.
+
+The largest weight sits on one of the L-shape's two outer corners.  With
+p, q the weights of the other two variables, c_p, c_q their full exponents
+and (s_p, s_q) the inner corner, the Frobenius number is
+
+    F = max((s_p - 1)*p + (c_q - 1)*q, (c_p - 1)*p + (s_q - 1)*q) - n,
+
+so ``build`` checks a cap on F before it builds any table.  The table A
+then passes an exact O(n) guard: every class mod n is hit once, class 0 by
+0, the largest entry is F + n, and A[r] + g >= A[(r + g) mod n] for g = p
+and g = q.  The entries are weights of monomials, so members of S; the
+guard makes A + nN a set that holds 0 and is closed under n, p and q, so
+it is S and A is its Apéry set.
 """
 
 from __future__ import annotations
@@ -25,19 +59,30 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 
-from .cases import enumerate_cases
+from .cases import _cases
 from .errors import (
     BadMultiplicity,
     DomainError,
+    FrobeniusCapExceeded,
     InvalidGenerator,
     InvariantViolation,
     NotImplementedRange,
 )
-from .oversemigroups import has_symmetric_cover
-from .semigroup import NumericalSemigroup, from_generators
+from .oversemigroups import _is_dimension_3, has_symmetric_cover
+from .semigroup import NumericalSemigroup
 
 Triple = tuple[int, int, int]
+
+
+def _is_int_triple(t: tuple) -> bool:
+    """Whether t holds three ints, none a bool (as ``from_generators``
+    refuses them); three exact ints pass on one type test."""
+    return len(t) == 3 and (
+        type(t[0]) is type(t[1]) is type(t[2]) is int
+        or all(isinstance(v, int) and not isinstance(v, bool) for v in t)
+    )
 
 
 @dataclass(frozen=True)
@@ -48,16 +93,17 @@ class ExponentPair:
     b: Triple
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", tuple(self.a))
-        object.__setattr__(self, "b", tuple(self.b))
-        for t in (self.a, self.b):
-            # bools are refused as in from_generators; False already fails v < 1
-            if len(t) != 3 or any(not isinstance(v, int) or v < 1 or v is True for v in t):
+        a, b = tuple(self.a), tuple(self.b)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        for t in (a, b):
+            if not _is_int_triple(t) or min(t) < 1:
                 raise InvalidGenerator(f"exponent triple {t!r} must have 3 positive entries")
 
     @property
     def c(self) -> Triple:
-        return tuple(x + y for x, y in zip(self.a, self.b))  # type: ignore[return-value]
+        (a1, a2, a3), (b1, b2, b3) = self.a, self.b
+        return (a1 + b1, a2 + b2, a3 + b3)
 
 
 @dataclass(frozen=True)
@@ -136,13 +182,63 @@ def _multipliers(a: Triple, b: Triple) -> Triple:
     )
 
 
+def _l_shape(p: int, q: int, cp: int, cq: int, sp: int, sq: int) -> list[int]:
+    """The weights i*p + j*q of the monomials i < cp, j < cq, not (i >= sp
+    and j >= sq), one row of i per j."""
+    weights: list[int] = []
+    for j in range(cq):
+        weights += range(j * q, j * q + (cp if j < sq else sp) * p, p)
+    return weights
+
+
+def _value_semigroup(
+    n: int, p: int, q: int, cp: int, cq: int, sp: int, sq: int, max_frobenius: int | None
+) -> NumericalSemigroup:
+    """<n, p, q> for gcd 1, from the L-shape of the variable of least weight n
+    (module docstring): p, q are the other two weights, cp, cq their full
+    exponents and (sp, sq) the inner corner.  The cap checks come first, in
+    the order and words of ``from_generators``: each generator in sorted
+    order, then F from the corner formula, before any table is built.  The
+    table then passes the exact O(n) guard, or InvariantViolation is raised."""
+    g2, g3 = (p, q) if p <= q else (q, p)
+    frob = max((sp - 1) * p + (cq - 1) * q, (cp - 1) * p + (sq - 1) * q) - n
+    if max_frobenius is not None:
+        for g in (n, g2, g3):
+            if g > max_frobenius:
+                raise InvalidGenerator(f"generator {g} exceeds the cap of {max_frobenius}")
+        if frob > max_frobenius:
+            raise FrobeniusCapExceeded(
+                f"Frobenius number {frob} exceeds the cap of {max_frobenius}"
+            )
+    weights = _l_shape(p, q, cp, cq, sp, sq)
+    apery = [-1] * n
+    for w in weights:
+        apery[w % n] = w
+    if len(weights) != n or -1 in apery or apery[0] or max(apery) - n != frob:
+        raise InvariantViolation(
+            f"the L-shape of <{n},{g2},{g3}> is no Apéry table mod {n} with F = {frob}"
+        )
+    for w in apery:
+        if w + p < apery[(w + p) % n] or w + q < apery[(w + q) % n]:
+            raise InvariantViolation(
+                f"the L-shape of <{n},{g2},{g3}> is not closed under {p} and {q}"
+            )
+    if _is_dimension_3(n, g2, g3):
+        minimal: tuple[int, ...] = (n, g2, g3)
+    else:  # g3 is in <n, g2>, or n divides g2 (and then not g3: the gcd is 1)
+        minimal = (n, g2) if g2 % n else (n, g3)
+    return NumericalSemigroup(minimal, tuple(apery))
+
+
 def build(e: ExponentPair, max_frobenius: int | None = None) -> HNIdeal:
     """Assemble the generators and multiplier triple for an exponent pair.
 
     The determinantal and expanded forms of m are both computed and compared;
     a mismatch would be a bug, not bad input.  When gcd(m) != 1 the value
     semigroup is absent and the ideal carries ``coprime = False``.
-    ``max_frobenius`` caps the multipliers, then the value semigroup's Frobenius number.
+    ``max_frobenius`` caps the multipliers, then the value semigroup's Frobenius
+    number, both before the semigroup is built.  ``from_generators(sorted(m))``
+    gives the same semigroup and the same errors; it is the tests' oracle.
     """
     (a1, a2, a3), (b1, b2, b3) = e.a, e.b
     c1, c2, c3 = e.c
@@ -151,13 +247,21 @@ def build(e: ExponentPair, max_frobenius: int | None = None) -> HNIdeal:
         Binomial((0, c2, 0), (a1, 0, b3)),
         Binomial((0, 0, c3), (b1, a2, 0)),
     )
-    det = (c2 * c3 - a2 * b3, c1 * c3 - a3 * b1, c1 * c2 - a1 * b2)
+    det = m1, m2, m3 = (c2 * c3 - a2 * b3, c1 * c3 - a3 * b1, c1 * c2 - a1 * b2)
     expanded = _multipliers(e.a, e.b)
     if det != expanded:
         raise InvariantViolation(
             f"determinantal multipliers {det} disagree with expanded form {expanded}"
         )
-    value = from_generators(sorted(det), max_frobenius) if gcd(*det) == 1 else None
+    if gcd(m1, m2, m3) != 1:
+        return HNIdeal(e, generators, det, None)
+    # The L-shape modulo the variable of least weight; a tie takes the first.
+    if m1 <= m2 and m1 <= m3:
+        value = _value_semigroup(m1, m2, m3, c2, c3, b2, a3, max_frobenius)
+    elif m2 <= m3:
+        value = _value_semigroup(m2, m1, m3, c1, c3, a1, b3, max_frobenius)
+    else:
+        value = _value_semigroup(m3, m1, m2, c1, c2, b1, a2, max_frobenius)
     return HNIdeal(e, generators, det, value)
 
 
@@ -182,7 +286,7 @@ def normalize(e: ExponentPair) -> ExponentPair:
 def _weighted_degree(weights: tuple[int, ...], exponents: tuple[int, ...]) -> int:
     """Degree of the monomial with these exponents when variable i weighs
     weights[i]."""
-    return sum(w * e for w, e in zip(weights, exponents))
+    return sum(map(mul, weights, exponents))
 
 
 def vanishing_check(h: HNIdeal) -> bool:
@@ -199,8 +303,12 @@ def solve_exponents(m: Triple) -> list[ExponentPair]:
     a1 = (2*m2 - m3)/3, b1 = (2*m3 - m2)/3.  m1 = 4 forces a2 = 2, the
     rest 1, and a1 = (3*m2 - m3)/4, b1 = (m3 - m2)/2 (b3 = 2 instead would
     need a1 = (m2 - m3)/2 > 0).  The candidate is kept only if its
-    multipliers reproduce m exactly.  Other m1 values raise NotImplementedRange.
+    multipliers reproduce m exactly.  Other m1 values raise NotImplementedRange;
+    any m that is not three ints (bools refused) raises DomainError.
     """
+    m = tuple(m)
+    if not _is_int_triple(m):
+        raise DomainError(f"multiplier triple {m!r} must have 3 integer entries")
     m1, m2, m3 = m
     if not 3 <= m1 < m2 < m3:
         raise DomainError(f"need 3 <= m1 < m2 < m3, got {m}")
@@ -227,11 +335,11 @@ def theorem_verdict(h: HNIdeal, e: int) -> TheoremVerdict:
     implies embedding dimension 3: a semigroup <1> or <a, b> is symmetric,
     so it is its own cover.  e = 1 then forces a prime ideal; e in {2, 3}
     leaves prime-or-non-complete-intersection open between the possible
-    cases.
+    cases.  An e that is not an int, or is a bool, raises BadMultiplicity.
     """
-    if not 1 <= e <= 3:
-        raise BadMultiplicity(f"ambient multiplicity must be in [1, 3], got {e}")
-    cases = tuple(rec.label for rec in enumerate_cases(e))
+    if not isinstance(e, int) or isinstance(e, bool) or not 1 <= e <= 3:
+        raise BadMultiplicity(f"ambient multiplicity must be in [1, 3], got {e!r}")
+    cases = _cases(e)[1]
     s = h.value_semigroup
     hypothesis_ok = s is not None and not has_symmetric_cover(s)
     if not hypothesis_ok:

@@ -283,14 +283,16 @@ def _census_count(m1: int, bound: int) -> int:
     return pairs - members
 
 
+def _is_dimension_3(m1: int, m2: int, m3: int) -> bool:
+    """Whether m1 <= m2 <= m3 are the minimal generators of <m1, m2, m3>:
+    m1 does not divide m2, and m3 is not in <m1, m2>."""
+    return m2 % m1 != 0 and all((m3 - j * m2) % m1 for j in range(m3 // m2 + 1))
+
+
 def _dimension_3_triples(m1: int, pairs: list[tuple[int, int]]) -> list[tuple[int, int, int]]:
     """The triples (m1, m2, m3) of ``pairs`` with gcd 1 and embedding
-    dimension 3: m1 does not divide m2, and m3 is not in <m1, m2>."""
-    return [
-        (m1, m2, m3)
-        for m2, m3 in pairs
-        if m2 % m1 and gcd(m1, m2, m3) == 1 and all((m3 - j * m2) % m1 for j in range(m3 // m2 + 1))
-    ]
+    dimension 3 (``_is_dimension_3``)."""
+    return [(m1, m2, m3) for m2, m3 in pairs if gcd(m1, m2, m3) == 1 and _is_dimension_3(m1, m2, m3)]
 
 
 @cache

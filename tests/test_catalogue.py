@@ -89,6 +89,15 @@ def test_enumerate_cases_range():
         enumerate_cases(7)
 
 
+@pytest.mark.parametrize("e", [True, False, 1.0, "1", None])
+def test_enumerate_cases_refuses_what_is_no_int(e):
+    # True would share the cache slot of 1 and leave records with e=True there
+    cases._cases.cache_clear()
+    with pytest.raises(DomainError, match=r"covers e in \[1, 6\], got "):
+        enumerate_cases(e)
+    assert [(type(r.e), r.e) for r in enumerate_cases(1)] == [(int, 1)]
+
+
 def test_a_broken_paper_table_still_fails_the_check(monkeypatch):
     monkeypatch.setitem(cases._PAPER_CASES, 2, (("(b.1)", ((2, 1),)), ("(b.2)", ((1, 2),))))
     cases._cases.cache_clear()

@@ -14,6 +14,7 @@ from hnlab import (
     Binomial,
     DomainError,
     ExponentPair,
+    FrobeniusCapExceeded,
     HNIdeal,
     InvalidGenerator,
     InvariantViolation,
@@ -27,6 +28,7 @@ from hnlab import (
     vanishing_check,
 )
 from hnlab import hn
+from hnlab.cli import main
 
 # The four reference matrices: exponents, generators as (plus, minus) vectors
 # over (x, y, z), multiplier triple, and value semigroup generators.
@@ -122,6 +124,83 @@ def test_multiplier_formulas_agree_exhaustively():
         assert vanishing_check(h)
 
 
+# ── the value semigroup off the L-shape ──────────────────────────────────────
+
+
+def test_value_semigroup_matches_from_generators_exhaustively():
+    # every pair with entries 1..5; CI runs entries up to 7 as a process
+    coprime = 0
+    for pair in exponent_pairs(5):
+        h = build(pair)
+        if not h.coprime:
+            continue
+        coprime += 1
+        s, oracle = h.value_semigroup, from_generators(sorted(h.m))
+        assert s == oracle, (pair, s, oracle)
+        assert s.apery == oracle.apery and s.frobenius == oracle.frobenius, pair
+    assert coprime == 9672
+
+
+def test_cap_errors_match_from_generators():
+    # same error class and message, generators first in sorted order, then F
+    for pair in exponent_pairs(3):
+        m = build(pair).m
+        if gcd(*m) != 1:
+            continue
+        for cap in (1, 3, 5, 8, 13, 21, 34, 55):
+            try:
+                expected = from_generators(sorted(m), cap)
+            except DomainError as exc:
+                with pytest.raises(type(exc)) as info:
+                    build(pair, max_frobenius=cap)
+                assert str(info.value) == str(exc), (pair, cap)
+            else:
+                assert build(pair, max_frobenius=cap).value_semigroup == expected
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda w: w[:-1], "no Apéry table mod 8"),  # a class missed
+        (lambda w: [w[0], w[2] + 8, *w[2:]], "no Apéry table mod 8"),  # one class twice
+        (lambda w: [8, *w[1:]], "no Apéry table mod 8"),  # 0 missing
+        (lambda w: [*w[:-1], w[-1] + 8], "no Apéry table mod 8"),  # the corner moved
+        (lambda ws: [w + 8 if w == 20 else w for w in ws], "not closed under 9 and 11"),
+    ],
+)
+def test_a_corrupted_l_shape_is_an_invariant_violation(monkeypatch, capsys, change, message):
+    pair = ExponentPair((2, 3, 1), (1, 2, 2))  # m = (9, 8, 11): y has the least weight
+    shape = hn._l_shape
+    assert shape(9, 11, 3, 3, 2, 2) == [0, 9, 18, 11, 20, 29, 22, 31]
+    monkeypatch.setattr(hn, "_l_shape", lambda *args: change(shape(*args)))
+    with pytest.raises(InvariantViolation, match=f"the L-shape of <8,9,11> is {message}"):
+        build(pair)
+    assert main(["hn", "build", "--a", "2,3,1", "--b", "1,2,2", "--format", "json"]) == 3
+    assert '"code": "InvariantViolation"' in capsys.readouterr().out
+
+
+def test_the_worst_pair_meets_the_cap_before_any_table(monkeypatch):
+    def no_table(*args):
+        raise AssertionError("the L-shape was built")
+
+    monkeypatch.setattr(hn, "_l_shape", no_table)
+    with pytest.raises(FrobeniusCapExceeded) as info:
+        build(ExponentPair((1, 1, 1), (999, 999, 998)), max_frobenius=1_000_000)
+    assert str(info.value) == "Frobenius number 1992009994 exceeds the cap of 1000000"
+
+
+def test_embedding_dimension_two_and_ties_reduce_like_from_generators():
+    # one-row and one-column L-shapes, which build() never makes, of
+    # <3, 6, 7> = <3, 7>, <3, 3, 4> = <3, 4> and <4, 5, 10> = <4, 5>
+    for args, gens in (
+        ((3, 6, 7, 1, 3, 1, 3), (3, 6, 7)),
+        ((3, 3, 4, 1, 3, 1, 3), (3, 3, 4)),
+        ((4, 5, 10, 4, 1, 4, 1), (4, 5, 10)),
+    ):
+        s = hn._value_semigroup(*args, None)
+        assert s == from_generators(gens), (args, s)
+
+
 # ── weight homogeneity ───────────────────────────────────────────────────────
 
 
@@ -211,6 +290,20 @@ def test_solver_range_and_preconditions():
         solve_exponents((4, 6, 8))  # gcd 2
 
 
+def test_solver_takes_any_sequence_of_three_ints():
+    expected = [ExponentPair((1, 1, 1), (2, 1, 1))]
+    assert solve_exponents([3, 4, 5]) == solve_exponents((3, 4, 5)) == expected
+    assert solve_exponents(iter((3, 4, 5))) == expected
+
+
+@pytest.mark.parametrize(
+    "m", [(3, 4), (3, 4, 5, 7), (3, 4, 5.0), (3.0, 4, 5), ("3", 4, 5), (True, 4, 5), (3, 4, True)]
+)
+def test_solver_refuses_what_is_no_triple_of_ints(m):
+    with pytest.raises(DomainError, match="must have 3 integer entries"):
+        solve_exponents(m)
+
+
 def test_solver_round_trips_all_buildable_small_triples():
     seen = set()
     for pair in exponent_pairs(6):
@@ -298,3 +391,11 @@ def test_verdict_multiplicity_range():
         theorem_verdict(h, 0)
     with pytest.raises(BadMultiplicity):
         theorem_verdict(h, 4)
+
+
+@pytest.mark.parametrize("e", [True, False, 2.0, "2", None])
+def test_verdict_refuses_a_multiplicity_that_is_no_int(e):
+    h = build(ExponentPair((1, 1, 1), (2, 1, 1)))
+    with pytest.raises(BadMultiplicity, match="must be in \\[1, 3\\]"):
+        theorem_verdict(h, e)
+    assert type(theorem_verdict(h, 1).multiplicity_e) is int
