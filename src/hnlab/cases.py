@@ -87,7 +87,8 @@ def _cases(e: int) -> tuple[tuple[CaseRecord, ...], tuple[str, ...]]:
         table = tuple((f"(e={e}, #{i})", comps) for i, comps in enumerate(ordered, 1))
     elif generated != {comps for _, comps in table}:
         raise InvariantViolation(f"case generator disagrees with the e={e} table")
-    return tuple(CaseRecord(e, comps, label) for label, comps in table), tuple(l for l, _ in table)
+    records = tuple(CaseRecord(e, comps, label) for label, comps in table)
+    return records, tuple(rec.label for rec in records)
 
 
 def enumerate_cases(e: int) -> tuple[CaseRecord, ...]:
