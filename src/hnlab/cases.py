@@ -108,7 +108,10 @@ def enumerate_cases(e: int) -> tuple[CaseRecord, ...]:
 
 def check_consistency(r: CaseRecord, m1: int) -> ConsistencyReport:
     """Enforce sum(sigma*length) = e, then verify that the per-component
-    multiplicities m1*sigma add up, weighted by length, to m1*e."""
+    multiplicities m1*sigma add up, weighted by length, to m1*e.  An m1
+    that is not an int, or is a bool, raises DomainError."""
+    if not isinstance(m1, int) or isinstance(m1, bool):
+        raise DomainError(f"multiplier m1 must be an integer, got {m1!r}")
     if m1 < 3:
         raise DomainError(f"multiplier m1 must be at least 3, got {m1}")
     total_sl = sum(s * l for s, l in r.components)

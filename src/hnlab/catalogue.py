@@ -27,7 +27,7 @@ from .errors import (
     InvariantViolation,
     NotInCatalogue,
 )
-from .hn import Binomial, Triple, _monomial, _weighted_degree, build, solve_exponents
+from .hn import Binomial, Triple, _generators, _monomial, _weighted_degree, solve_exponents
 
 _DATA_FILE = "decomposition_catalogue.txt"
 _VARIABLES = ("X", "Y", "Z", "W")
@@ -176,8 +176,8 @@ def _ideal_generators_for(m: Triple) -> tuple[Binomial, ...]:
     solutions = solve_exponents(m)
     if not solutions:
         raise InvariantViolation(f"catalogued m={m} has no exponent solution")
-    ideal = build(solutions[0])
-    return tuple(Binomial(g.plus + (0,), g.minus + (0,)) for g in ideal.generators)
+    generators, _ = _generators(solutions[0])
+    return tuple(Binomial(g.plus + (0,), g.minus + (0,)) for g in generators)
 
 
 def verify_example(spec: ExampleSpec) -> ExampleReport:

@@ -30,7 +30,7 @@ from hnlab import (
     theorem_verdict,
     verify_example,
 )
-from hnlab import cases, catalogue
+from hnlab import cases, catalogue, hn
 from hnlab.catalogue import ExampleSpec, _parse_factor, load_catalogue
 
 # ── taxonomy oracle: independent enumeration of (sigma, length) multisets ────
@@ -154,6 +154,12 @@ def test_consistency_rejects_bad_records():
         check_consistency(CaseRecord(3, ((2, 2),), "(bogus)"), 3)
     with pytest.raises(DomainError):
         check_consistency(CaseRecord(1, ((1, 1),), "(a)"), 2)
+
+
+@pytest.mark.parametrize("m1", [3.5, 4.0, True, "3", None])
+def test_consistency_refuses_an_m1_that_is_no_int(m1):
+    with pytest.raises(DomainError, match="must be an integer"):
+        check_consistency(enumerate_cases(2)[0], m1)
 
 
 # ── weight checks ────────────────────────────────────────────────────────────
@@ -334,6 +340,20 @@ def test_corrupted_predicted_shape_fails():
 def test_a_triple_with_no_exponent_solution_is_an_invariant_violation():
     spec = dataclasses.replace(catalogue_entries()[0], m=(3, 5, 6))
     with pytest.raises(InvariantViolation, match="has no exponent solution"):
+        verify_example(spec)
+
+
+def test_the_re_check_cross_checks_the_multipliers_and_builds_no_semigroup(monkeypatch):
+    def no_semigroup(*args):
+        raise AssertionError("the catalogue re-check built a value semigroup")
+
+    spec = catalogue_entries()[0]
+    monkeypatch.setattr(hn, "_value_semigroup", no_semigroup)
+    assert verify_example(spec).verdict
+    solutions = hn.solve_exponents(spec.m)
+    monkeypatch.setattr(catalogue, "solve_exponents", lambda m: solutions)
+    monkeypatch.setattr(hn, "_multipliers", lambda a, b: (1, 1, 1))
+    with pytest.raises(InvariantViolation, match="disagree with expanded form"):
         verify_example(spec)
 
 

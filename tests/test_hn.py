@@ -22,6 +22,7 @@ from hnlab import (
     TheoremOutcome,
     build,
     from_generators,
+    has_symmetric_cover,
     normalize,
     solve_exponents,
     theorem_verdict,
@@ -102,6 +103,9 @@ def test_exponent_pair_validation():
         ExponentPair((1, 1), (1, 1, 1))
     with pytest.raises(InvalidGenerator):
         ExponentPair((1, 0, 1), (1, 1, 1))
+    for a, b in ((5, (1, 1, 1)), ((1, 1, 1), None)):  # not iterable
+        with pytest.raises(InvalidGenerator, match="must have 3 positive entries"):
+            ExponentPair(a, b)
 
 
 def test_exponent_pair_rejects_bool_entries():
@@ -297,7 +301,8 @@ def test_solver_takes_any_sequence_of_three_ints():
 
 
 @pytest.mark.parametrize(
-    "m", [(3, 4), (3, 4, 5, 7), (3, 4, 5.0), (3.0, 4, 5), ("3", 4, 5), (True, 4, 5), (3, 4, True)]
+    "m",
+    [(3, 4), (3, 4, 5, 7), (3, 4, 5.0), (3.0, 4, 5), ("3", 4, 5), (True, 4, 5), (3, 4, True), 5, None],
 )
 def test_solver_refuses_what_is_no_triple_of_ints(m):
     with pytest.raises(DomainError, match="must have 3 integer entries"):
@@ -383,6 +388,25 @@ def test_verdict_hypothesis_fails_on_embedding_dimension_two():
     v = theorem_verdict(synthetic, 2)
     assert not v.hypothesis_ok
     assert v.outcome is TheoremOutcome.HYPOTHESIS_NOT_SATISFIED
+
+
+def test_verdict_hypothesis_matches_the_criterion_on_every_small_pair():
+    # the verdict reads the census's flagged triples; the criterion on each
+    # value semigroup is its oracle
+    for pair in exponent_pairs(5):
+        h = build(pair)
+        s = h.value_semigroup
+        expected = s is not None and not has_symmetric_cover(s)
+        for e in (1, 2, 3):
+            assert theorem_verdict(h, e).hypothesis_ok == expected, (pair, e)
+
+
+def test_verdict_refuses_embedding_dimension_above_three():
+    # the odd-count lemma says nothing of <4,5,6,7>, which build() never attaches
+    good = build(ExponentPair((1, 1, 1), (2, 1, 1)))
+    synthetic = HNIdeal(good.exponents, good.generators, (4, 5, 6), from_generators([4, 5, 6, 7]))
+    with pytest.raises(InvariantViolation, match="embedding dimension above 3"):
+        theorem_verdict(synthetic, 1)
 
 
 def test_verdict_multiplicity_range():

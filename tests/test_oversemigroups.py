@@ -39,6 +39,7 @@ from hnlab.cli import main
 from hnlab.oversemigroups import (
     CENSUS_MAX_BOUND,
     _census_count,
+    _census_flagged,
     _census_leftover,
     _dimension_3_triples,
     _family_from_runs,
@@ -814,9 +815,10 @@ def test_witness_families_agree_with_the_search(covered_upto_30):
     assert tuple(uncertified) == DELTA
 
 
-def test_census_searches_exactly_delta(monkeypatch):
-    # the criterion still decides every triple handed to it, and those
-    # triples are exactly DELTA within the bound, from m1 = 3 up
+def test_census_searches_exactly_delta(fresh_leftover, monkeypatch):
+    # the criterion decides the four leftover triples once per process, in
+    # lexicographic order, however many censuses follow; each bound still
+    # searches and flags exactly DELTA within it, from m1 = 3 up
     seen = []
 
     def recording_criterion(s):
@@ -825,11 +827,25 @@ def test_census_searches_exactly_delta(monkeypatch):
 
     monkeypatch.setattr(oversemigroups, "has_symmetric_cover", recording_criterion)
     for bound in [*range(3, 61), 300]:
-        seen.clear()
         report = verify_delta(bound)
-        assert seen == [t for t in DELTA if t[2] <= bound], bound
-        assert report.triples_searched == len(seen), bound
+        within = tuple(t for t in DELTA if t[2] <= bound)
+        assert (report.triples_searched, report.flagged) == (len(within), within), bound
         assert report.flagged == report.expected, bound
+    assert seen == list(DELTA)
+
+
+def test_the_flagged_triples_are_delta_by_the_exhaustive_oracle(covered_upto_30):
+    # every uncovered triple up to 30 by the gap-subset search, past the
+    # lemma's box m3 < 3·m1 <= 24, is one the census flags
+    uncovered = tuple(t for t, covered in covered_upto_30.items() if not covered)
+    assert uncovered == _census_flagged() == DELTA
+    assert _census_flagged() is _census_flagged()
+
+
+@pytest.mark.parametrize("bound", ["40", 40.0, True, None])
+def test_verify_delta_refuses_a_bound_that_is_no_int(bound):
+    with pytest.raises(DomainError, match="bound must be an integer"):
+        verify_delta(bound)
 
 
 # ── the four witness families ────────────────────────────────────────────────
@@ -1088,11 +1104,14 @@ def test_uncovered_triples_up_to_60_are_exactly_delta():
 
 @pytest.fixture
 def fresh_leftover():
-    """Clear the cached leftover before and after the test, so that one
-    built with a patched ``_dimension_3_triples`` is not kept."""
+    """Clear the cached leftover and its flagged triples before and after
+    the test, so that ones built with a patched ``_dimension_3_triples`` or
+    criterion are not kept."""
     _census_leftover.cache_clear()
+    _census_flagged.cache_clear()
     yield
     _census_leftover.cache_clear()
+    _census_flagged.cache_clear()
 
 
 def test_the_leftover_is_built_once_per_process(fresh_leftover, monkeypatch):
