@@ -1,17 +1,17 @@
 """Command-line front end.
 
 Every invocation that parses emits exactly one report, as stable text
-(default) or as a single JSON object with schema version "v1"; a usage or
-parse failure (exit 1) prints argparse's usage to stderr and leaves stdout
-empty.  Payloads are derived from the library's result dataclasses.  The
-text report shows every value of the JSON ``result``, one ``key: value``
-line each: nested keys are joined with ``.`` and the items of a list of
-objects are numbered from 1.  Lists are sorted and nothing time-dependent
+(default) or as one JSON object with schema "v1", byte for byte
+``json.dumps(report, sort_keys=True)``; a usage or parse failure (exit 1)
+prints argparse's usage to stderr and leaves stdout empty.  Payloads come
+from the library's result dataclasses.  The text report shows every value
+of the JSON ``result``, one ``key: value`` line each: nested keys are
+joined with ``.`` and the items of a list of objects are numbered from 1.
+Lists are sorted, each flat list holds one type, and nothing time-dependent
 enters the payload (elapsed time goes to stderr).  Exit codes: 0 ok, 1
 usage or parse failure, 2 domain precondition violated, 3 verification
-mismatch or internal error (any other exception: its traceback goes to
-stderr, never a bare crash).  A reader that closes stdout early
-(``| head``) leaves the exit code as is.
+mismatch or internal error (any other exception, its traceback on stderr).
+A reader that closes stdout early (``| head``) leaves the exit code as is.
 
 The environment variable HNLAB_MAX_FROBENIUS (default 1000000) caps both
 the size of accepted generators and the Frobenius number of any semigroup
@@ -59,9 +59,7 @@ class VerificationMismatch(InvariantViolation):
 
 
 def _frobenius_cap() -> int:
-    raw = os.environ.get("HNLAB_MAX_FROBENIUS")
-    if raw is None:
-        return _DEFAULT_CAP
+    raw = os.environ.get("HNLAB_MAX_FROBENIUS", str(_DEFAULT_CAP))
     try:
         cap = int(raw)
     except ValueError:
@@ -138,8 +136,7 @@ def _cmd_delta_verify(args: argparse.Namespace) -> Result:
 
 
 def _cmd_hn_build(args: argparse.Namespace) -> Result:
-    cap = _frobenius_cap()
-    ideal = hn.build(hn.ExponentPair(args.a, args.b), max_frobenius=cap)
+    ideal = hn.build(hn.ExponentPair(args.a, args.b), max_frobenius=_frobenius_cap())
     pair = ideal.exponents
     return {
         **_plain(pair),
@@ -171,18 +168,22 @@ def _cmd_cases(args: argparse.Namespace) -> Result:
     return {"e": args.e, "cases": cases}
 
 
-# ── text rendering: one line per value of the ``result`` payload ─────────
+# ── report rendering: text, one line per payload value, and JSON ─────────
+
+
+def _ints(values: list[int], sep: str) -> str:
+    """The ints joined by ``sep``, written by one ``%d`` format, not one ``str`` each."""
+    return (f"%d{sep}" * len(values))[: -len(sep)] % tuple(values)
 
 
 def _fmt(value: Any) -> str:
-    """One payload value as text: a list space-joined (a list of ints by one
-    C-level ``repr``; a list of lists comma-joined per item, "; " between
-    items), bools as true/false, None as '-'."""
+    """One payload value as text: a list space-joined (ints by ``_ints``, lists
+    comma-joined per item, "; " between), bools as true/false, None as '-'."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, list):
         if value and type(value[0]) is int:
-            return repr(value)[1:-1].replace(",", "")
+            return _ints(value, " ")
         if value and isinstance(value[0], list):
             return "; ".join(",".join(map(str, item)) for item in value)
         return " ".join(map(str, value))
@@ -203,6 +204,16 @@ def _render(payload: Result, prefix: str = "") -> list[str]:
             text = _fmt(value)
             lines.append(f"{prefix}{key}: {text}" if text else f"{prefix}{key}:")
     return lines
+
+
+def _json(value: Any) -> str:
+    """``json.dumps(value, sort_keys=True)`` byte for byte, int lists by ``_ints``."""
+    if isinstance(value, dict):
+        return "{%s}" % ", ".join(f"{json.dumps(k)}: {_json(value[k])}" for k in sorted(value))
+    if isinstance(value, list):
+        inner = _ints(value, ", ") if value and type(value[0]) is int else ", ".join(map(_json, value))
+        return f"[{inner}]"
+    return json.dumps(value)
 
 
 # ── parser wiring and entry point ──────────────────────────────────────────
@@ -272,8 +283,7 @@ _NOT_INPUTS = frozenset({"group", "subcommand", "format"})
 def _text(report: dict[str, Any]) -> str:
     lines = [f"command: {report['command']}", *_render(report["inputs"], "input ")]
     lines += _render(report.get("result", {}))
-    if "error" in report:
-        error = report["error"]
+    if error := report.get("error"):
         lines += [f"error: {error['code']}", f"error_message: {error['message']}"]
     lines.append(f"status: {report['status']}")
     return "\n".join(lines)
@@ -313,7 +323,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if result is not None:
         report["result"] = result
     try:
-        print(json.dumps(report, sort_keys=True) if args.format == "json" else _text(report))
+        print(_json(report) if args.format == "json" else _text(report))
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed stdout (`| head`).  As the Python docs' note on

@@ -271,8 +271,10 @@ def build(e: ExponentPair, max_frobenius: int | None = None) -> HNIdeal:
     ``coprime = False``.  ``max_frobenius`` caps the multipliers, then the
     value semigroup's Frobenius number, both before the semigroup is built.
     ``from_generators(sorted(m))`` gives the same semigroup and the same
-    errors; it is the tests' oracle.
+    errors; it is the tests' oracle.  A cap that is no int is a DomainError.
     """
+    if max_frobenius is not None and type(max_frobenius) is not int:  # a bool is refused too
+        raise DomainError(f"max_frobenius must be an integer, got {max_frobenius!r}")
     generators, m = _generators(e)
     m1, m2, m3 = m
     if gcd(m1, m2, m3) != 1:

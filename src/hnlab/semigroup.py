@@ -20,6 +20,7 @@ from math import gcd
 from typing import Iterable
 
 from .errors import (
+    DomainError,
     EmptyInput,
     FrobeniusCapExceeded,
     InvalidGenerator,
@@ -191,11 +192,13 @@ def from_generators(
 
     The minimal system of a numerical semigroup is unique, so this is
     idempotent: feeding back ``minimal_gens`` reproduces the same object.
-    Raises EmptyInput on an empty list, InvalidGenerator on an entry that is
-    not a positive integer or exceeds ``max_frobenius`` (before the Apéry
-    pass), NonCofinite when gcd != 1, and FrobeniusCapExceeded when the
-    pass shows a Frobenius number beyond ``max_frobenius``.
+    Raises DomainError on a ``max_frobenius`` that is no int, EmptyInput on
+    an empty list, InvalidGenerator on an entry that is not a positive
+    integer or exceeds ``max_frobenius`` (before the Apéry pass), NonCofinite
+    when gcd != 1, and FrobeniusCapExceeded when the pass finds F beyond it.
     """
+    if max_frobenius is not None and type(max_frobenius) is not int:  # a bool is refused too
+        raise DomainError(f"max_frobenius must be an integer, got {max_frobenius!r}")
     raw = tuple(gens)
     if not raw:
         raise EmptyInput("at least one generator is required")

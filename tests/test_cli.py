@@ -333,6 +333,70 @@ def test_cases_fuzz(capsys, e):
     assert_one_timed_report(capsys, ["cases", f"--e={e}"], _is_positive_integer(e))
 
 
+# The whole grammar at once, under a small cap so that every call is quick.
+GRAMMAR_CAP = 60
+NUMBERS = st.one_of(st.integers(1, 6), st.integers(1, 2 * GRAMMAR_CAP)).map(str)
+ODD_VALUES = st.sampled_from(["0", "-1", "-7", str(10**30), "2.5", "3.0", "x", ""])
+
+
+@st.composite
+def grammar_argvs(draw) -> list[str]:
+    """One argv of a command that reads numbers, without --format.  Each
+    value is a positive integer, small or up to twice the cap, and one time
+    in eight zero, negative, huge or no integer; one triple in eight is an
+    entry short.  Options go as --opt=value, so that "-1" is no option."""
+
+    def value() -> str:
+        return draw(ODD_VALUES if draw(st.integers(0, 7)) == 0 else NUMBERS)
+
+    def triple() -> str:
+        return ",".join(value() for _ in range(3 if draw(st.integers(0, 7)) else 2))
+
+    command = draw(st.sampled_from(
+        ["sgp analyze", "sgp sym-cover", "delta verify", "hn build", "hn solve", "cases"]
+    ))
+    argv = command.split()
+    if command.startswith("sgp"):
+        argv += [value() for _ in range(draw(st.integers(1, 4)))]
+    if command == "sgp sym-cover":  # --mult is often a generator, so that some bases are decided
+        argv.append(f"--mult={draw(st.sampled_from(argv[2:])) if draw(st.booleans()) else value()}")
+    elif command == "delta verify":
+        argv.append(f"--bound={value()}")
+    elif command == "hn build":
+        argv += [f"--a={triple()}", f"--b={triple()}", *([f"--e={value()}"] * draw(st.booleans()))]
+    elif command == "hn solve":
+        argv.append(f"--m={triple()}")
+    elif command == "cases":
+        argv.append(f"--e={value()}")
+    return argv
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(grammar_argvs())
+def test_the_argv_grammar_ends_in_one_report(capsys, argv):
+    started = time.perf_counter()
+    with frobenius_cap(str(GRAMMAR_CAP)):
+        text_code = main(argv)
+        text = capsys.readouterr().out
+        code = main([*argv, "--format", "json"])
+        out = capsys.readouterr().out
+    assert time.perf_counter() - started < 10.0, argv
+    assert code == text_code and code in (0, 1, 2), argv
+    if code == 1:  # argparse refused a token: its usage goes to stderr
+        assert (out, text) == ("", ""), argv
+        return
+    lines = text.splitlines()
+    status = "ok" if code == 0 else "error"
+    assert lines[0].startswith("command: ") and lines[-1] == f"status: {status}", argv
+    assert [line for line in lines if line.startswith("status: ")] == lines[-1:], argv
+    assert len(out.splitlines()) == 1 and out.endswith("\n"), argv
+    report = json.loads(out)
+    assert out == json.dumps(report, sort_keys=True) + "\n", argv
+    assert all(len({type(item) for item in flat}) <= 1 for flat in _flat_lists(report)), argv
+
+
 # ── hn ───────────────────────────────────────────────────────────────────────
 
 
@@ -446,7 +510,7 @@ BIG_INTEGERS = st.one_of(st.integers(min_value=2**64), st.integers(max_value=-(2
 @example([-7])
 @example([2**64 + 1, -(2**70), 0])
 def test_a_flat_list_renders_as_the_join(xs):
-    # int lists take the `repr` pass; string and bool lists the join itself
+    # int lists take the one `%d` format of `_ints`; string and bool lists the join itself
     assert cli._fmt(xs) == " ".join(map(str, xs))
 
 
@@ -463,14 +527,15 @@ def _flat_lists(value):
             yield value
 
 
-def test_every_flat_list_in_the_golden_reports_holds_one_type():
-    # `_fmt` picks its rendering by the type of a list's first item alone
+def _golden_json_stdouts() -> list[str]:
     golden = Path(__file__).parent / "golden" / "cli_transcripts.json"
-    reports = [
-        json.loads(entry["stdout"])
-        for entry in json.loads(golden.read_text("utf-8"))
-        if entry["argv"][-1] == "json" and entry["stdout"]
-    ]
+    entries = json.loads(golden.read_text("utf-8"))
+    return [e["stdout"] for e in entries if e["argv"][-1] == "json" and e["stdout"]]
+
+
+def test_every_flat_list_in_the_golden_reports_holds_one_type():
+    # `_fmt` and `_json` pick their rendering by the type of a list's first item alone
+    reports = [json.loads(out) for out in _golden_json_stdouts()]
     types = [
         {type(item) for item in flat}
         for report in reports
@@ -478,6 +543,42 @@ def test_every_flat_list_in_the_golden_reports_holds_one_type():
     ]
     assert [t for t in types if len(t) > 1] == []
     assert {int, str} <= set().union(*types)
+
+
+def test_every_golden_json_report_is_what_json_dumps_writes():
+    outs = _golden_json_stdouts()
+    assert len(outs) > 30
+    for out in outs:
+        assert out == json.dumps(json.loads(out), sort_keys=True) + "\n", out[:80]
+
+
+# One-type flat lists, as every payload holds them, and objects and lists of
+# objects or lists over them: the shapes `cli._json` reads off a first item.
+FLAT_LISTS = st.one_of(
+    st.lists(st.one_of(st.integers(-1000, 1000), BIG_INTEGERS), max_size=20),
+    st.lists(st.booleans(), max_size=5),
+    st.lists(st.text(), max_size=5),
+)
+PAYLOADS = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.text(), FLAT_LISTS),
+    lambda inner: st.one_of(
+        st.dictionaries(st.text(), inner, max_size=5),
+        st.lists(st.dictionaries(st.text(), inner, max_size=3), max_size=3),
+        st.lists(st.one_of(FLAT_LISTS, st.lists(FLAT_LISTS, max_size=3)), max_size=3),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(PAYLOADS)
+@example({})
+@example([])
+@example({"b": [], "a": {}, "c": None})
+@example({"gaps": [2**64 + 1, -(2**70), 0], "flagged": [[3, 4, 5], []], "ok": [True, False]})
+@example({"é\u2028": ["ключ", "\x00\x1f\t\"\\", "\ud800"], "\x7f": [{"z": 1, "Z": [-1]}]})
+def test_json_writes_what_json_dumps_writes(value):
+    assert cli._json(value) == json.dumps(value, sort_keys=True)
 
 
 # ── report envelope and environment cap ──────────────────────────────────────

@@ -183,6 +183,14 @@ def test_a_corrupted_l_shape_is_an_invariant_violation(monkeypatch, capsys, chan
     assert '"code": "InvariantViolation"' in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("cap", ["9", 5.5, 3.0, True, False, [10]])
+def test_build_refuses_a_cap_that_is_no_int(cap):
+    # m = (3, 4, 5) has gcd 1, and m = (12, 12, 12) has no value semigroup to cap
+    for pair in (ExponentPair((1, 1, 1), (2, 1, 1)), ExponentPair((2, 2, 2), (2, 2, 2))):
+        with pytest.raises(DomainError, match="^max_frobenius must be an integer, got "):
+            build(pair, max_frobenius=cap)
+
+
 def test_the_worst_pair_meets_the_cap_before_any_table(monkeypatch):
     def no_table(*args):
         raise AssertionError("the L-shape was built")

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hnlab import (
+    DomainError,
     EmptyInput,
     FrobeniusCapExceeded,
     InvalidGenerator,
@@ -135,6 +136,13 @@ def test_frobenius_cap():
         from_generators([3, 5000], max_frobenius=1000)
     # cap above the true Frobenius number F(<a,b>) = ab - a - b is fine
     assert from_generators([101, 103], max_frobenius=11_000).frobenius == 101 * 103 - 101 - 103
+
+
+@pytest.mark.parametrize("cap", ["9", 5.5, 3.0, True, False, [10]])
+def test_a_cap_that_is_no_int_is_refused(cap):
+    # "9" raised TypeError from the generator check, and 5.5 was accepted
+    with pytest.raises(DomainError, match="^max_frobenius must be an integer, got "):
+        from_generators([3, 4], max_frobenius=cap)
 
 
 # ── Apéry sets ───────────────────────────────────────────────────────────────
