@@ -16,9 +16,10 @@ member, since F' - x - b in T would put F' - x in T.  Symmetric: exactly
 one of x and F' - x lies in U.  Multiplicity m: each adjoined x is above
 F'/2 >= m - 1/2.  A symmetric T is its own witness, as F' = F(T).
 ``oversemigroups_with_multiplicity`` walks the tree of numerical semigroups
-(Fromentin & Hivert, Math. Comp. 85, 2016) on Apéry sets, with no mask, and
-lists in the walk's own order: a child's gaps extend its parent's by one
-larger gap, so parents first and children by ascending removed generator
+(Fromentin & Hivert, Math. Comp. 85, 2016) on one Apéry set and one list of
+minimal generators, edited in place and undone on the way up, and lists
+tuple copies in the walk's own order: a child's gaps extend its parent's by
+one larger gap, so parents first and children by ascending removed generator
 is the lexicographic order of the gap tuples.
 
 The census counts its triples per m1 in closed form, in one walk of the
@@ -131,9 +132,9 @@ def _semigroup_from_mask(mask: int, upto: int, mult: int) -> NumericalSemigroup:
 
 
 def _require_multiplicity(s: NumericalSemigroup, m: int) -> None:
-    if m != s.multiplicity:
+    if type(m) is not int or m != s.multiplicity:
         raise UnsupportedMultiplicity(
-            f"requested multiplicity {m}, but {s} has multiplicity {s.multiplicity}"
+            f"requested multiplicity {m!r}, but {s} has multiplicity {s.multiplicity}"
         )
 
 
@@ -148,25 +149,40 @@ def oversemigroups_with_multiplicity(s: NumericalSemigroup, m: int) -> list[Nume
     ascending g, is that order.  There h = g + m enters the Apéry set, and is
     a new minimal generator iff h - x is a gap for each other minimal generator
     x: for x > g, h - x < m; h - m = g is removed; and for m < x < g the class
-    of g - x is neither 0 nor g's, so V's Apéry set decides."""
+    of g - x is neither 0 nor g's, so V's Apéry set decides.  The walk edits
+    one generator list and one Apéry set in place, and each listed set takes
+    tuple copies.  A child with kids opens a frame (its parent's kids, the next
+    index, its edit); any other child's edit is undone at once."""
     _require_multiplicity(s, m)
-    ap, gens = s.apery, tuple(range(m, 2 * m))
-    stack, found = [(gens, (0, *gens[1:]), [g for g in gens if g < ap[g % m]])], []
-    while stack:
-        gens, apery, kids = stack.pop()
-        found.append(NumericalSemigroup(gens, apery))
-        for i in range(len(kids) - 1, -1, -1):  # pushed by descending g, popped by ascending
+    ap, gens, apery = s.apery, list(range(m, 2 * m)), [0, *range(m + 1, 2 * m)]
+    found = [NumericalSemigroup(tuple(gens), tuple(apery))]
+    kids, i, undo, stack = [g for g in gens if g < ap[g % m]], 0, None, []
+    while True:
+        if i < len(kids):
             g = kids[i]
-            h, r, j = g + m, g % m, gens.index(g)
-            child_gens, child_kids = gens[:j] + gens[j + 1 :], kids[i + 1 :]
+            i, h, r, j, new = i + 1, g + m, g % m, gens.index(g), True
             for x in gens[1:j]:
                 if apery[(g - x) % m] <= g - x + m:
+                    new = False
                     break
-            else:  # h is a new minimal generator, and a kid if a gap of s
-                child_gens, child_kids = child_gens + (h,), child_kids + [h] * (h < ap[r])
-            child_apery = apery[:r] + (h,) + apery[r + 1 :]
-            stack.append((child_gens, child_apery, child_kids))
-    return found
+            del gens[j]
+            if new:
+                gens.append(h)
+            apery[r] = h
+            found.append(NumericalSemigroup(tuple(gens), tuple(apery)))
+            kid = new and h < ap[r]  # h is a kid if a new minimal generator and a gap of s
+            if kid or i < len(kids):
+                stack.append((kids, i, undo))
+                kids, i, undo = [*kids[i:], h] if kid else kids[i:], 0, (g, r, j, new)
+                continue
+        elif stack:  # the frame's kids ran out: undo its edit
+            (g, r, j, new), (kids, i, undo) = undo, stack.pop()
+        else:
+            return found
+        apery[r] = g
+        if new:
+            gens.pop()
+        gens.insert(j, g)
 
 
 def _largest_odd_gap(s: NumericalSemigroup) -> int:
@@ -390,7 +406,10 @@ def witness_families(m1: int) -> list[NumericalSemigroup]:
     """The four symmetric families of multiplicity m1 >= 5, F = 2*m1 - 1,
     2*m1 + 1, 4*m1 - 3 and 2*m1 + 3, one holding each embedding-dimension-3
     triple of that multiplicity.  The census does not use them: the odd-count
-    lemma (module docstring) leaves it no such triple with m1 >= 5 to decide."""
+    lemma (module docstring) leaves it no such triple with m1 >= 5 to decide.
+    An m1 that is not an int, or is a bool, raises DomainError."""
+    if type(m1) is not int:
+        raise DomainError(f"m1 must be an integer, got {m1!r}")
     if m1 < 5:
         raise DomainError(f"witness families are defined for multiplicity >= 5, got {m1}")
     return [_family_from_runs(runs, m1, frob) for runs, frob in _family_runs(m1)]

@@ -264,6 +264,30 @@ def test_unsupported_multiplicity():
         symmetric_cover(CoverQuery(s, 2))
 
 
+@pytest.mark.parametrize("gens, m", [([3, 4, 5], 3.0), ([1], True), ([3, 4, 5], "3"), ([3, 4, 5], None)])
+def test_a_multiplicity_that_is_no_int_is_refused(gens, m):
+    # 3.0 == 3 and True == 1, so only the type tells them from the base's own
+    s = from_generators(gens)
+    message = f"requested multiplicity {m!r}, but {s} has multiplicity {s.multiplicity}"
+    with pytest.raises(UnsupportedMultiplicity) as listing:
+        oversemigroups_with_multiplicity(s, m)
+    with pytest.raises(UnsupportedMultiplicity) as cover:
+        symmetric_cover(CoverQuery(s, m))
+    assert str(listing.value) == str(cover.value) == message
+
+
+def test_the_in_place_walk_lists_independent_sets():
+    # the walk edits one generator list and one Apéry set in place: each
+    # listed set must hold its own tuples, and a second listing the same sets
+    base = from_generators([12, 13])
+    listing = oversemigroups_with_multiplicity(base, 12)
+    assert len(listing) == 22436
+    assert listing[0] == from_generators(range(12, 24))
+    assert listing[-1].minimal_gens == tuple(range(12, 23))
+    assert all(type(u.minimal_gens) is tuple and type(u.apery) is tuple for u in listing)
+    assert oversemigroups_with_multiplicity(base, 12) == listing
+
+
 # ── symmetric covers ─────────────────────────────────────────────────────────
 
 
@@ -1157,6 +1181,12 @@ def test_witness_families_reject_small_multiplicity():
     for m1 in (3, 4):
         with pytest.raises(DomainError):
             witness_families(m1)
+
+
+@pytest.mark.parametrize("m1", [5.0, True, "5", None])
+def test_witness_families_refuse_an_m1_that_is_no_int(m1):
+    with pytest.raises(DomainError, match="m1 must be an integer"):
+        witness_families(m1)
 
 
 def test_invariant_violation_is_importable():
