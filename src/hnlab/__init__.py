@@ -34,7 +34,6 @@ from .errors import (
     InvalidGenerator,
     InvariantViolation,
     NonCofinite,
-    NotImplementedRange,
     NotInCatalogue,
     NotMember,
     UnsupportedMultiplicity,

@@ -27,7 +27,8 @@ from .errors import (
     InvariantViolation,
     NotInCatalogue,
 )
-from .hn import Binomial, Triple, _generators, _monomial, _weighted_degree, solve_exponents
+from .hn import Binomial, Triple, _as_tuple, _generators, _is_int_triple, _monomial
+from .hn import _weighted_degree, solve_exponents
 
 _DATA_FILE = "decomposition_catalogue.txt"
 _VARIABLES = ("X", "Y", "Z", "W")
@@ -163,13 +164,12 @@ def catalogue_entries() -> list[ExampleSpec]:
 
 
 def example_spec(id: str, n: int, m: Triple) -> ExampleSpec:
-    """Look up one example; unknown combinations raise NotInCatalogue."""
-    try:
-        return load_catalogue()[(id, n, tuple(m))]  # type: ignore[index]
-    except KeyError:
-        raise NotInCatalogue(
-            f"no catalogued example with id={id!r}, n={n}, m={tuple(m)}"
-        ) from None
+    """Look up one example; an unknown combination raises NotInCatalogue, and
+    so do an n that is no int (or is a bool) and an m that is no int triple."""
+    m = _as_tuple(m)  # type: ignore[assignment]
+    if type(n) is not int or not _is_int_triple(m) or (id, n, m) not in load_catalogue():
+        raise NotInCatalogue(f"no catalogued example with id={id!r}, n={n}, m={m}")
+    return load_catalogue()[(id, n, m)]
 
 
 def _ideal_generators_for(m: Triple) -> tuple[Binomial, ...]:

@@ -13,9 +13,9 @@ usage or parse failure, 2 domain precondition violated, 3 verification
 mismatch or internal error (any other exception, its traceback on stderr).
 A reader that closes stdout early (``| head``) leaves the exit code as is.
 
-The environment variable HNLAB_MAX_FROBENIUS (default 1000000) caps both
-the size of accepted generators and the Frobenius number of any semigroup
-the run is allowed to enumerate.
+The environment variable HNLAB_MAX_FROBENIUS (default 1000000) caps the
+accepted generators (of a multiplier triple, m1) and the Frobenius number
+of any semigroup the run is allowed to enumerate.
 """
 
 from __future__ import annotations
@@ -150,7 +150,7 @@ def _cmd_hn_build(args: argparse.Namespace) -> Result:
 
 
 def _cmd_hn_solve(args: argparse.Namespace) -> Result:
-    return {"m": list(args.m), "solutions": _plain(hn.solve_exponents(args.m))}
+    return {"m": list(args.m), "solutions": _plain(hn.solve_exponents(args.m, _frobenius_cap()))}
 
 
 def _cmd_catalogue_check(args: argparse.Namespace) -> Result:

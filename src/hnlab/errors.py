@@ -37,10 +37,6 @@ class UnsupportedMultiplicity(DomainError):
     """A cover query asked for a multiplicity other than the base's own."""
 
 
-class NotImplementedRange(DomainError):
-    """The exponent solver only handles multiplier triples with m1 in {3, 4}."""
-
-
 class BadMultiplicity(DomainError):
     """A ring multiplicity argument lies outside the supported range."""
 

@@ -74,7 +74,6 @@ from .errors import (
     FrobeniusCapExceeded,
     InvalidGenerator,
     InvariantViolation,
-    NotImplementedRange,
 )
 from .oversemigroups import _census_flagged, _is_dimension_3
 from .semigroup import NumericalSemigroup
@@ -322,16 +321,20 @@ def vanishing_check(h: HNIdeal) -> bool:
     )
 
 
-def solve_exponents(m: Triple) -> list[ExponentPair]:
-    """Invert m -> (a, b) for multiplier triples with m1 in {3, 4}.
+def solve_exponents(m: Triple, max_frobenius: int | None = None) -> list[ExponentPair]:
+    """Invert m -> (a, b): at most one pair, read off the weights in O(m1).
 
-    m1 = 3 forces a2 = a3 = b2 = b3 = 1 and a linear system with solution
-    a1 = (2*m2 - m3)/3, b1 = (2*m3 - m2)/3.  m1 = 4 forces a2 = 2, the
-    rest 1, and a1 = (3*m2 - m3)/4, b1 = (m3 - m2)/2 (b3 = 2 instead would
-    need a1 = (m2 - m3)/2 > 0).  The candidate is kept only if its
-    multipliers reproduce m exactly.  Other m1 values raise NotImplementedRange;
-    any m that is not three ints (bools refused) raises DomainError.
+    For every pair with gcd(m) = 1 the L-shape modulo x is Ap(<m>, m1)
+    (module docstring).  Its row y^i, i < c2, lies in Ap, and v2 gives
+    c2*m2 = a1*m1 + b3*m3: so c2 is the least c >= 1 with c*m2 - m1 in
+    <m1, m3>, and b3 the least j >= 0 with j*m3 = c2*m2 mod m1 (its column
+    z^j, j < c3, lies in Ap).  D gives c3, b1 and a2 likewise, then b2 =
+    c2 - a2 and a3 = c3 - b3; the pair is kept if its multipliers give m
+    back.  DomainError: m no int triple (bools refused), not 3 <= m1 < m2 <
+    m3 or not coprime, or a cap no int.  InvalidGenerator: m1 above ``max_frobenius``.
     """
+    if max_frobenius is not None and type(max_frobenius) is not int:  # a bool is refused too
+        raise DomainError(f"max_frobenius must be an integer, got {max_frobenius!r}")
     m = _as_tuple(m)
     if not _is_int_triple(m):
         raise DomainError(f"multiplier triple {m!r} must have 3 integer entries")
@@ -340,17 +343,19 @@ def solve_exponents(m: Triple) -> list[ExponentPair]:
         raise DomainError(f"need 3 <= m1 < m2 < m3, got {m}")
     if gcd(m1, m2, m3) != 1:
         raise DomainError(f"multiplier triple {m} must have gcd 1")
-    if m1 not in (3, 4):
-        raise NotImplementedRange(f"exponent solver handles m1 in {{3, 4}}, got m1={m1}")
-
-    if m1 == 3:
-        (a1n, a1d), (b1n, b1d), a2 = (2 * m2 - m3, 3), (2 * m3 - m2, 3), 1
-    else:
-        (a1n, a1d), (b1n, b1d), a2 = (3 * m2 - m3, 4), (m3 - m2, 2), 2
-    if a1n <= 0 or a1n % a1d or b1n <= 0 or b1n % b1d:
-        return []
-    a, b = (a1n // a1d, a2, 1), (b1n // b1d, 1, 1)
-    return [ExponentPair(a, b)] if _multipliers(a, b) == m else []
+    if max_frobenius is not None and m1 > max_frobenius:
+        raise InvalidGenerator(f"generator {m1} exceeds the cap of {max_frobenius}")
+    # With d = gcd(m1, g), the least k >= 0 with k*g = w mod m1 exists iff d
+    # divides w, and is (w/d) * (g/d)^-1 mod m1/d.  Both loops stop by c = m1.
+    d2, d3 = gcd(m1, m2), gcd(m1, m3)
+    u2, u3 = pow(m2 // d2, -1, m1 // d2), pow(m3 // d3, -1, m1 // d3)
+    c2 = c3 = 1
+    while c2 * m2 % d3 or (b3 := c2 * m2 // d3 * u3 % (m1 // d3)) * m3 > c2 * m2 - m1:
+        c2 += 1
+    while c3 * m3 % d2 or (a2 := c3 * m3 // d2 * u2 % (m1 // d2)) * m2 > c3 * m3 - m1:
+        c3 += 1
+    a, b = ((c2 * m2 - b3 * m3) // m1, a2, c3 - b3), ((c3 * m3 - a2 * m2) // m1, c2 - a2, b3)
+    return [ExponentPair(a, b)] if min(a + b) > 0 and _multipliers(a, b) == m else []
 
 
 def theorem_verdict(h: HNIdeal, e: int) -> TheoremVerdict:

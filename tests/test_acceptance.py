@@ -99,7 +99,7 @@ def test_criterion_4_hn_matrices_and_solver():
             assert tuple((g.plus, g.minus) for g in h.generators) == gens
             solutions = solve_exponents(m)
             assert solutions == [ExponentPair(a, b)]
-        # the b3 = 2 branch must be rejected for (4, 7, 9): a1 = (7 - 9)/2 < 0
+        # (4, 7, 9) has no pair with b3 = 2: it would need a1 = (7 - 9)/2 < 0
         sole = solve_exponents((4, 7, 9))
         assert len(sole) == 1 and sole[0].b[2] == 1
 

@@ -274,6 +274,25 @@ def test_example_spec_unknown_combination():
         example_spec("nonsense", 1, (3, 4, 5))
 
 
+@pytest.mark.parametrize(
+    "n, m, shown",
+    [
+        (1.0, (3, 4, 5), "n=1.0, m=(3, 4, 5)"),
+        (True, (3, 4, 5), "n=True, m=(3, 4, 5)"),
+        ("1", (3, 4, 5), "n=1, m=(3, 4, 5)"),
+        (None, (3, 4, 5), "n=None, m=(3, 4, 5)"),
+        (1, 5, "n=1, m=5"),
+        (1, (3, 4), "n=1, m=(3, 4)"),
+        (1, (3.0, 4, 5), "n=1, m=(3.0, 4, 5)"),
+    ],
+)
+def test_example_spec_refuses_an_n_or_m_that_is_no_int(n, m, shown):
+    assert example_spec("caseab1c1_i", 1, [3, 4, 5]).n == 1  # the entry that 1.0 and True found
+    with pytest.raises(NotInCatalogue) as err:
+        example_spec("caseab1c1_i", n, m)
+    assert str(err.value) == f"no catalogued example with id='caseab1c1_i', {shown}"
+
+
 def test_catalogue_predictions_are_labeled_cases():
     known = {
         (rec.e, rec.label): rec.components

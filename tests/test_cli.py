@@ -306,8 +306,8 @@ def test_hn_build_fuzz(capsys, a, b, e, cap):
 @FUZZ_SETTINGS
 @given(
     st.one_of(
-        triple_tokens(),  # and some m1 < m2 < m3 with m1 in {3, 4}, which are solved
-        st.tuples(st.integers(3, 4), st.integers(5, 30), st.integers(31, 60)).map(
+        triple_tokens(),  # and some 3 <= m1 < m2 < m3, which reach the solver
+        st.tuples(st.integers(3, 12), st.integers(13, 30), st.integers(31, 60)).map(
             lambda m: ",".join(map(str, m))
         ),
     )
@@ -353,7 +353,8 @@ def grammar_argvs(draw) -> list[str]:
         return ",".join(value() for _ in range(3 if draw(st.integers(0, 7)) else 2))
 
     command = draw(st.sampled_from(
-        ["sgp analyze", "sgp sym-cover", "delta verify", "hn build", "hn solve", "cases"]
+        ["sgp analyze", "sgp sym-cover", "delta verify", "hn build", "hn solve",
+         "catalogue check", "cases"]
     ))
     argv = command.split()
     if command.startswith("sgp"):
@@ -366,6 +367,13 @@ def grammar_argvs(draw) -> list[str]:
         argv += [f"--a={triple()}", f"--b={triple()}", *([f"--e={value()}"] * draw(st.booleans()))]
     elif command == "hn solve":
         argv.append(f"--m={triple()}")
+    elif command == "catalogue check":  # half the known ids come with their n and m
+        spec = draw(st.sampled_from([*catalogue_entries(), None]))  # None: an unknown id
+        argv.append(f"--id={spec.id if spec else 'nonesuch'}")
+        if spec and draw(st.booleans()):
+            argv += [f"--n={spec.n}", "--m=" + ",".join(map(str, spec.m))]
+        else:
+            argv += [f"--n={value()}", f"--m={triple()}"]
     elif command == "cases":
         argv.append(f"--e={value()}")
     return argv
@@ -441,10 +449,10 @@ def test_hn_solve(capsys):
     assert payload["result"]["solutions"] == []
 
 
-def test_hn_solve_out_of_range_exits_2(capsys):
+def test_hn_solve_m1_5_exits_0(capsys):
     code, payload = run_json(capsys, "hn", "solve", "--m", "5,6,7")
-    assert code == 2
-    assert payload["error"]["code"] == "NotImplementedRange"
+    assert code == 0
+    assert payload["result"]["solutions"] == [{"a": [1, 1, 2], "b": [3, 1, 1]}]
 
 
 def test_hn_triple_parse_failure_exits_1(capsys):

@@ -9,7 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import oracle_exponent_pairs
+
 from hnlab import (
+    DELTA,
     BadMultiplicity,
     Binomial,
     DomainError,
@@ -18,7 +21,6 @@ from hnlab import (
     HNIdeal,
     InvalidGenerator,
     InvariantViolation,
-    NotImplementedRange,
     TheoremOutcome,
     build,
     from_generators,
@@ -283,10 +285,11 @@ def test_solver_on_the_four_triples(m, a, b):
 
 
 def test_solver_rejects_negative_branch():
-    # for m1 = 4 the b3 = 2 branch gives a1 = (m2 - m3)/2 < 0, never a solution
+    # m1 = 4 allows (a2, b3) = (2, 1) or (1, 2); for (4, 7, 9) the second
+    # would need a1 = (m2 - m3)/2 < 0, so only the first is a pair
     solutions = solve_exponents((4, 7, 9))
     assert len(solutions) == 1
-    assert solutions[0].a[1] == 2  # only the a2 = 2 branch survives
+    assert solutions[0].a[1] == 2
 
 
 def test_solver_unsolvable_triple_returns_empty():
@@ -294,8 +297,7 @@ def test_solver_unsolvable_triple_returns_empty():
 
 
 def test_solver_range_and_preconditions():
-    with pytest.raises(NotImplementedRange):
-        solve_exponents((5, 6, 7))
+    assert solve_exponents((5, 6, 7)) == [ExponentPair((1, 1, 2), (3, 1, 1))]
     with pytest.raises(DomainError):
         solve_exponents((3, 5, 5))
     with pytest.raises(DomainError):
@@ -321,7 +323,7 @@ def test_solver_round_trips_all_buildable_small_triples():
     seen = set()
     for pair in exponent_pairs(6):
         m = build(pair).m
-        if m[0] not in (3, 4) or not m[0] < m[1] < m[2] or gcd(*m) != 1:
+        if not m[0] < m[1] < m[2] or gcd(*m) != 1:
             continue
         solutions = solve_exponents(m)
         assert pair in solutions, (pair, m)
@@ -329,6 +331,46 @@ def test_solver_round_trips_all_buildable_small_triples():
             assert build(sol).m == m
         seen.add(m)
     assert set(m for m in seen if m in {(3, 4, 5), (3, 5, 7), (4, 5, 7), (4, 7, 9)})
+
+
+def test_solver_matches_the_exhaustive_oracle():
+    triples = solved = 0
+    for m1 in range(3, 13):
+        for m2 in range(m1 + 1, 60):
+            for m3 in range(m2 + 1, 60):
+                if gcd(m1, m2, m3) != 1:
+                    continue
+                expected = oracle_exponent_pairs((m1, m2, m3))
+                assert [(p.a, p.b) for p in solve_exponents((m1, m2, m3))] == expected, (m1, m2, m3)
+                triples, solved = triples + 1, solved + bool(expected)
+    assert (triples, solved) == (10973, 3753)
+
+
+def test_solver_refuses_an_m1_above_the_cap_before_it_reads_m(monkeypatch):
+    def no_reading(*args):
+        raise AssertionError(f"the solver began its O(m1) reading with pow{args}")
+
+    monkeypatch.setattr(hn, "pow", no_reading, raising=False)  # shadows the builtin in hn
+    with pytest.raises(InvalidGenerator, match="^generator 61 exceeds the cap of 60$"):
+        solve_exponents((61, 62, 65), max_frobenius=60)
+    for cap in (60.0, True, "60"):
+        with pytest.raises(DomainError, match="max_frobenius must be an integer"):
+            solve_exponents((61, 62, 65), max_frobenius=cap)
+    monkeypatch.undo()
+    assert solve_exponents((5, 6, 7), max_frobenius=5) == solve_exponents((5, 6, 7))
+
+
+def test_hypothesis_holds_iff_the_pair_normalizes_to_a_delta_solution():
+    # the census lemma at every bound and one pair per m: the paper's
+    # hypothesis holds exactly on the pairs whose normal form solves DELTA
+    assert tuple(m for *_, m in REFERENCE) == DELTA
+    solutions = {ExponentPair(a, b) for a, b, _, _ in REFERENCE}
+    holds = 0
+    for pair in exponent_pairs(6):
+        ok = theorem_verdict(build(pair), 1).hypothesis_ok
+        assert ok == (normalize(pair) in solutions), pair
+        holds += ok
+    assert holds == 6 * len(solutions)  # each solution under the six orders of m
 
 
 # ── classification verdicts ──────────────────────────────────────────────────
