@@ -15,7 +15,7 @@ Field hypotheses are surfaced as free text, never evaluated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from math import gcd
 
@@ -70,9 +70,12 @@ class Factor:
     note: str = ""
 
     def render(self) -> str:
+        return self._text
+
+    @cached_property
+    def _text(self) -> str:
         # Signs are not tracked, so show the equal-weight monomial support.
-        body = " ~ ".join(_monomial(mono, _VARIABLES) for mono in self.monomials)
-        return self.note if self.note else body
+        return self.note or " ~ ".join(_monomial(mono, _VARIABLES) for mono in self.monomials)
 
 
 @dataclass(frozen=True)
@@ -172,12 +175,11 @@ def example_spec(id: str, n: int, m: Triple) -> ExampleSpec:
     return load_catalogue()[(id, n, m)]
 
 
-def _ideal_generators_for(m: Triple) -> tuple[Binomial, ...]:
+def _ideal_generators_for(m: Triple) -> tuple[Binomial, Binomial, Binomial]:
     solutions = solve_exponents(m)
     if not solutions:
         raise InvariantViolation(f"catalogued m={m} has no exponent solution")
-    generators, _ = _generators(solutions[0])
-    return tuple(Binomial(g.plus + (0,), g.minus + (0,)) for g in generators)
+    return _generators(solutions[0])[0]
 
 
 def verify_example(spec: ExampleSpec) -> ExampleReport:
@@ -185,8 +187,9 @@ def verify_example(spec: ExampleSpec) -> ExampleReport:
 
     For each weight-constrained factor: the factor's monomials must share a
     weighted degree, and the three ideal generators must vanish under the
-    same assignment.  Pure W-powers are recorded and skipped.  The predicted
-    shape must be a record of ``enumerate_cases(n)``, and the gcd tuple coprime.
+    same assignment (they involve X, Y, Z only, so its first three weights
+    decide).  Pure W-powers are recorded and skipped.  The predicted shape
+    must be a record of ``enumerate_cases(n)``, and the gcd tuple coprime.
     """
     generators = [
         (f"generator {name}: {g.render(_VARIABLES)}", g)
@@ -199,6 +202,9 @@ def verify_example(spec: ExampleSpec) -> ExampleReport:
             checks.append(WeightCheck(name, None, None, "skipped: no weight constraint"))
             continue
         w = factor.weights
+        if len(w.weights) != 4:  # one weight per variable X, Y, Z, W
+            raise DimensionMismatch(f"{len(w.weights)} weights against 4 exponents")
+        xyz = WeightAssignment(w.weights[:3])
         degrees = [_weighted_degree(w.weights, mono) for mono in factor.monomials]
         checks.append(
             WeightCheck(
@@ -213,7 +219,7 @@ def verify_example(spec: ExampleSpec) -> ExampleReport:
                 WeightCheck(
                     f"factor {i} {subject}",
                     w.weights,
-                    binomial_weight_vanishes(w, g),
+                    binomial_weight_vanishes(xyz, g),
                     "generator homogeneity",
                 )
             )

@@ -106,10 +106,10 @@ class ExponentPair:
     b: Triple
 
     def __post_init__(self) -> None:
-        a, b = _as_tuple(self.a), _as_tuple(self.b)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        for t in (a, b):
+        if type(self.a) is not tuple or type(self.b) is not tuple:  # exact tuples stay
+            object.__setattr__(self, "a", _as_tuple(self.a))
+            object.__setattr__(self, "b", _as_tuple(self.b))
+        for t in (self.a, self.b):
             if not _is_int_triple(t) or min(t) < 1:
                 raise InvalidGenerator(f"exponent triple {t!r} must have 3 positive entries")
 

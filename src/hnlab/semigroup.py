@@ -62,7 +62,10 @@ class NumericalSemigroup:
         return sum(a // m for a in self.apery)
 
     def contains(self, n: int) -> bool:
-        """Membership test: n is in S iff n >= apery[n mod multiplicity]."""
+        """Membership test: n is in S iff n >= apery[n mod multiplicity].
+        An n that is no int, or is a bool, raises DomainError."""
+        if type(n) is not int:
+            raise DomainError(f"membership needs an integer, got {n!r}")
         if n < 0:
             return False
         return n >= self.apery[n % self.multiplicity]

@@ -7,6 +7,7 @@ They import nothing from ``hnlab``: a semigroup is read only through its
 from __future__ import annotations
 
 from itertools import combinations
+from math import gcd
 
 
 def oracle_oversemigroups(base) -> set[frozenset[int]]:
@@ -72,3 +73,69 @@ def oracle_exponent_pairs(m: tuple[int, int, int]) -> list[tuple[tuple[int, ...]
                 assert (a1 * c3 + b1 * b3, a1 * a2 + b1 * c2) == (m2, m3), (m, a1, b1)
                 pairs.append(((a1, a2, a3), (b1, b2, b3)))
     return sorted(pairs)
+
+
+# The paper's decomposition shapes for e <= 3: (e, label) -> (sigma, length)s.
+PAPER_CASES = {
+    (1, "(a)"): ((1, 1),),
+    (2, "(b.1)"): ((2, 1),),
+    (2, "(b.2)"): ((1, 2),),
+    (2, "(b.3)"): ((1, 1), (1, 1)),
+    (3, "(c.1)"): ((3, 1),),
+    (3, "(c.2)"): ((1, 3),),
+    (3, "(c.3)"): ((1, 2), (1, 1)),
+    (3, "(c.4)"): ((2, 1), (1, 1)),
+    (3, "(c.5)"): ((1, 1), (1, 1), (1, 1)),
+}
+
+
+def oracle_monomial(exponents: tuple[int, ...]) -> str:
+    """X^e1*Y^e2*Z^e3*W^e4 with exponent-0 factors left out and ^1 unwritten,
+    "1" for the empty product."""
+    parts = [v if e == 1 else f"{v}^{e}" for v, e in zip("XYZW", exponents) if e]
+    return "*".join(parts) or "1"
+
+
+def oracle_catalogue_report(line: str):
+    """Re-derive the report of one catalogue data line: its key (id, n, m),
+    every weight check as (subject, weights, passed, detail), gcd_ok and the
+    verdict.  The pair is the one of ``oracle_exponent_pairs``, the three
+    generators are 4-variable vectors over X, Y, Z, W, and each degree is a
+    dot product under all four of the factor's weights."""
+    id_, n_s, m_s, factors_s, gcd_s, predicted_s, _ = line.split("|")
+    n, m = int(n_s), tuple(int(x) for x in m_s.split(","))
+    [((a1, a2, a3), (b1, b2, b3))] = oracle_exponent_pairs(m)
+    generators = [
+        ("v1", (a1 + b1, 0, 0, 0), (0, b2, a3, 0)),
+        ("v2", (0, a2 + b2, 0, 0), (a1, 0, b3, 0)),
+        ("D", (0, 0, a3 + b3, 0), (b1, a2, 0, 0)),
+    ]
+    checks = []
+    for i, token in enumerate(factors_s.split(";"), 1):
+        body, _, note = token.partition("!")
+        kind, _, payload = body.partition(":")
+        if kind == "wpow":
+            text = note or f"primary component of length {payload}"
+            checks.append((f"factor {i}: {text}", None, None, "skipped: no weight constraint"))
+            continue
+        monos_s, _, weights_s = payload.partition("@")
+        monos = [tuple(int(x) for x in mono.split(".")) for mono in monos_s.split("+")]
+        weights = tuple(int(x) for x in weights_s.split(","))
+
+        def degree(exponents):
+            return sum(w * x for w, x in zip(weights, exponents, strict=True))
+
+        degrees = [degree(mono) for mono in monos]
+        text = note or " ~ ".join(oracle_monomial(mono) for mono in monos)
+        checks.append(
+            (f"factor {i}: {text}", weights, len(set(degrees)) == 1, f"monomial weights {degrees}")
+        )
+        for name, plus, minus in generators:
+            subject = f"factor {i} generator {name}: {oracle_monomial(plus)} - {oracle_monomial(minus)}"
+            checks.append((subject, weights, degree(plus) == degree(minus), "generator homogeneity"))
+    gcd_ok = gcd(*(int(x) for x in gcd_s.split(","))) == 1
+    label, _, comps_s = predicted_s.partition(":")
+    components = tuple(tuple(int(x) for x in part.split("x")) for part in comps_s.split("+"))
+    shape_ok = PAPER_CASES.get((n, label)) == components
+    verdict = gcd_ok and shape_ok and all(c[2] for c in checks if c[2] is not None)
+    return (id_, n, m), checks, gcd_ok, verdict

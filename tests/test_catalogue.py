@@ -9,6 +9,8 @@ from types import SimpleNamespace
 
 import pytest
 
+from oracles import oracle_catalogue_report
+
 from hnlab import (
     Binomial,
     CaseRecord,
@@ -317,6 +319,41 @@ def test_full_catalogue_sweep_passes():
             assert not live
         else:
             assert live and all(c.passed for c in live)
+
+
+def test_every_catalogue_report_matches_the_oracle():
+    text = resources.files("hnlab").joinpath("data/decomposition_catalogue.txt").read_text("utf-8")
+    lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
+    assert len(lines) == 43
+    live = 0
+    for line in lines:
+        key, checks, gcd_ok, verdict = oracle_catalogue_report(line)
+        report = verify_example(load_catalogue()[key])
+        got = [(c.subject, c.weights, c.passed, c.detail) for c in report.weight_checks]
+        assert got == checks, key
+        assert (report.gcd_ok, report.verdict) == (gcd_ok, verdict) == (True, True), key
+        live += sum(c[2] is not None for c in checks)
+    assert live == 4 * 46  # 46 weighted factors, each checked itself and on v1, v2, D
+
+
+@pytest.mark.parametrize("weights", [(6, 8, 10), (6, 8, 10, 7, 1)])
+def test_a_factor_without_four_weights_is_a_dimension_mismatch(weights):
+    # the generators are checked under the first three weights, but only
+    # once the factor is seen to carry one weight per variable
+    spec = example_spec("caseab1c1_i", 2, (3, 4, 5))
+    factor = Factor(spec.factors[0].monomials, WeightAssignment(weights), "hand-built")
+    with pytest.raises(DimensionMismatch) as err:
+        verify_example(dataclasses.replace(spec, factors=(factor,)))
+    assert str(err.value) == f"{len(weights)} weights against 4 exponents"
+
+
+def test_a_factor_renders_once_and_keeps_its_fields(monkeypatch):
+    factor = Factor(((0, 0, 0, 2), (1, 1, 0, 0)), WeightAssignment((6, 8, 10, 7)))
+    calls = []
+    monkeypatch.setattr(catalogue, "_monomial", lambda *args: calls.append(args) or "M")
+    assert factor.render() == factor.render() == "M ~ M" and len(calls) == 2
+    assert [f.name for f in dataclasses.fields(Factor)] == ["monomials", "weights", "note"]
+    assert Factor(factor.monomials, None, "f = W").render() == "f = W"
 
 
 def test_case357_weight_identity():

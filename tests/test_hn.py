@@ -119,6 +119,38 @@ def test_exponent_pair_rejects_bool_entries():
         from_generators([True, 2])
 
 
+class _TupleSubclass(tuple):
+    pass
+
+
+@pytest.mark.parametrize(
+    "given", [[1, 2, 3], _TupleSubclass((1, 2, 3)), (x for x in (1, 2, 3))], ids=repr
+)
+def test_exponent_pair_stores_exact_tuples(given):
+    pair = ExponentPair(given, [2, 1, 3])
+    assert (type(pair.a), type(pair.b)) == (tuple, tuple)
+    assert pair == ExponentPair((1, 2, 3), (2, 1, 3))
+    a, b = (1, 2, 3), (2, 1, 3)
+    pair = ExponentPair(a, b)  # exact tuples are kept as given
+    assert pair.a is a and pair.b is b
+
+
+@pytest.mark.parametrize(
+    "bad, shown",
+    [
+        (5, "5"),
+        ((True, 1, 1), "(True, 1, 1)"),
+        ([1, 2.5, 1], "(1, 2.5, 1)"),
+        ((0, 1, 1), "(0, 1, 1)"),
+    ],
+)
+def test_exponent_pair_refusals_keep_their_messages(bad, shown):
+    for a, b in ((bad, (1, 1, 1)), ((1, 1, 1), bad)):
+        with pytest.raises(InvalidGenerator) as err:
+            ExponentPair(a, b)
+        assert str(err.value) == f"exponent triple {shown} must have 3 positive entries"
+
+
 def test_multiplier_formulas_agree_exhaustively():
     # entries <= 4 here; the acceptance suite sweeps entries <= 6
     for pair in exponent_pairs(4):

@@ -171,6 +171,18 @@ def test_apery_non_member_rejected():
     with pytest.raises(NotMember):
         apery_set(from_generators([1]), True)
 
+
+@pytest.mark.parametrize("n", [2.5, 3.0, "3", None, True, False])
+def test_membership_refuses_what_is_no_int(n):
+    s = from_generators([3, 4])
+    with pytest.raises(DomainError) as err:
+        s.contains(n)
+    assert str(err.value) == f"membership needs an integer, got {n!r}"
+    with pytest.raises(DomainError):
+        n in s  # noqa: B015
+    assert s.contains(3) and 3 in s and not s.contains(1) and -1 not in s
+
+
 def test_apery_against_oracle_on_members():
     for gens in ([3, 5, 7], [4, 6, 7], [2, 9], [5, 7, 9, 11]):
         s = from_generators(gens)
